@@ -192,7 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stratified", action="store_true")
     p.add_argument("--env-dim", type=int, default=2)
     p.add_argument("--attempt-cap", type=int, default=1_000_000)
-    p.add_argument("--restarts", type=int, default=4)
+    p.add_argument("--restarts", type=int, default=4,
+                   help="ascent restarts; no effect here, since the sampled "
+                   "qubit channels take an exact path")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=_cmd_tightness)
 
@@ -201,7 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--env-dims", default="2,4")
     p.add_argument("--bins", type=int, default=30)
-    p.add_argument("--restarts", type=int, default=4)
+    p.add_argument("--restarts", type=int, default=4,
+                   help="ascent restarts; no effect here, since the sampled "
+                   "qubit channels take an exact path")
     p.add_argument("--du-column", choices=("dispatcher", "lb1"), default="dispatcher")
     p.add_argument("--out", help="CSV output base path (one file per env dim)")
     p.set_defaults(func=_cmd_distribution)

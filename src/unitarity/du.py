@@ -4,10 +4,15 @@ DU is the maximal process fidelity between the channel and any unitary:
 max_U sum_k |tr(U† E_k)|^2 / n^2. It ranges from 1/n^2 (maximal
 depolarizing) to 1 (unitary channel).
 
-Three routes are implemented:
+Four routes are implemented:
 
 * exact value for channels whose canonical Kraus operators are proportional
   to pairwise-orthogonal unitaries (max_k |alpha_k|^2 with witness U_k);
+* exact value for every qubit channel, evaluated over a stack of channels
+  at once. A qubit unitary is a phase times x0 I + i x.sigma with x a real
+  unit 4-vector, so the objective is x^T A x for a real symmetric PSD 4x4
+  matrix A, and DU = lambda_max(A) / 4 with the top eigenvector as
+  witness. The bulk samplers (:mod:`unitarity.harness`) use it;
 * certified lower/upper bounds from the singular values of the canonical
   operators and the polar-decomposition nearest unitaries;
 * a fixed-point ascent over the unitary group. The objective
@@ -18,8 +23,9 @@ Three routes are implemented:
   warm starts, which also guarantees the result never falls below the
   lower bounds.
 
-The dispatcher :func:`du` picks the exact path when available, otherwise
-the optimizer, and always attaches the bound report.
+The dispatcher :func:`du` picks the mixed-unitary exact path when
+available, otherwise the optimizer (qubit channels included), and always
+attaches the bound report.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    PAULI_I,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     CanonicalKraus,
     KrausChannel,
     MixedUnitaryForm,
@@ -141,6 +151,26 @@ def du_bounds(ck: CanonicalKraus) -> BoundReport:
         witness_lb1=w1,
         witness_lb2=w0,
     )
+
+
+# Every qubit unitary is a phase times sum_p x_p _QUBIT_BASIS[p] with x a
+# real unit 4-vector.
+_QUBIT_BASIS = np.stack([PAULI_I, 1j * PAULI_X, 1j * PAULI_Y, 1j * PAULI_Z])
+
+
+def _qubit_du_stack(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact DU and SU(2) witnesses of a stack of qubit Kraus sets.
+
+    ops has shape (B, K, 2, 2). With c_kp = <_QUBIT_BASIS[p], E_k>,
+    sum_k |tr(U† E_k)|^2 = x^T A x for the real symmetric PSD matrix
+    A = Re(c† c), so DU = lambda_max(A) / 4 and the top eigenvector x gives
+    the witness. Returns values (B,) and witnesses (B, 2, 2).
+    """
+    c = np.einsum("pij,bkij->bkp", _QUBIT_BASIS.conj(), ops)
+    a = np.einsum("bkp,bkq->bpq", c.conj(), c).real
+    vals, vecs = np.linalg.eigh(a)
+    witnesses = np.einsum("bp,pij->bij", vecs[:, :, -1], _QUBIT_BASIS)
+    return vals[:, -1] / 4.0, witnesses
 
 
 def _polar_unitary_stack(a: np.ndarray) -> np.ndarray:
@@ -263,14 +293,10 @@ def du(
         rng = np.random.default_rng(0)
     ck = canonicalize(ch)
     bounds = du_bounds(ck)
-    result = None
     mu = as_mixed_unitary(ck)
     if mu is not None:
-        try:
-            result = du_exact_mixed_unitary(mu)
-        except OrthogonalityError:
-            result = None
-    if result is None:
+        result = du_exact_mixed_unitary(mu)
+    else:
         result = _optimize_canonical(
             ck, restarts, rng, bounds, CONVERGENCE_TOL, MAX_ITERATIONS, False
         )

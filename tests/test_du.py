@@ -19,6 +19,7 @@ from unitarity import (
     unitary_channel,
 )
 from unitarity.channels import PAULI_X, PAULI_Y, PAULI_Z, KrausChannel
+from unitarity.du import _qubit_du_stack
 
 from helpers import qubit_du_oracle, random_mixed_unitary_channel, remix_kraus
 
@@ -273,3 +274,54 @@ class TestPauliChannelEdge:
         ch = KrausChannel(2, (np.sqrt(0.7) * PAULI_Z, np.sqrt(0.3) * np.eye(2, dtype=complex)))
         res, _ = du(ch)
         assert res.value == pytest.approx(0.7, abs=1e-9)
+
+
+DEPHASING_PROJECTORS = KrausChannel(
+    2,
+    (
+        np.array([[1, 0], [0, 0]], dtype=complex),
+        np.array([[0, 0], [0, 1]], dtype=complex),
+    ),
+)
+
+
+class TestQubitExact:
+    """The exact qubit kernel against the independent 4x4 oracle and the
+    ascent, which stay two separate routes."""
+
+    @staticmethod
+    def check(ch, rng):
+        values, witnesses = _qubit_du_stack(np.stack(ch.kraus)[None])
+        value, w = float(values[0]), witnesses[0]
+        oracle, _ = qubit_du_oracle(ch.kraus)
+        opt = du_optimize(ch, restarts=8, rng=rng)
+        rep = du_bounds(canonicalize(ch))
+        assert abs(value - oracle) <= 1e-9
+        assert abs(value - opt.value) <= 1e-9
+        assert np.linalg.norm(w.conj().T @ w - np.eye(2)) <= 1e-9
+        assert abs(process_fidelity(ch, w) - value) <= 1e-9
+        assert max(rep.lb1, rep.lb2) - 1e-9 <= value <= rep.ub + 1e-9
+        return value
+
+    @pytest.mark.parametrize("env_dim", [1, 2, 3, 4])
+    def test_random_channels(self, env_dim):
+        rng = np.random.default_rng(100 + env_dim)
+        for _ in range(20):
+            ch = random_channel(2, env_dim, rng)
+            self.check(ch, rng)
+
+    @pytest.mark.parametrize(
+        "ch, want",
+        [
+            (standard_channel("depolarizing", 1.0), 0.25),
+            (DEPHASING_PROJECTORS, 0.5),
+            (standard_channel("amplitude_damping", 0.36), 0.81),
+            (standard_channel("amplitude_damping", 1.0), 0.25),
+            (unitary_channel(haar_unitary(2, np.random.default_rng(16))), 1.0),
+        ],
+        ids=["fully-depolarizing", "dephasing-projectors", "ad-0.36", "ad-1", "unitary"],
+    )
+    def test_edge_cases(self, ch, want):
+        # fully depolarizing has a fourfold degenerate top eigenvalue
+        value = self.check(ch, np.random.default_rng(17))
+        assert value == pytest.approx(want, abs=1e-9)
