@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_CUTOFF, as_matrix, haar_unitary
+from .linalg import RANK_CUTOFF, as_matrix, ginibre_stack, haar_from_ginibre
 
 # Frobenius tolerance on sum_k E_k† E_k - I for trace preservation.
 TRACE_PRESERVATION_TOL = 1e-9
@@ -313,6 +313,44 @@ def standard_channel(kind: str, param: float) -> KrausChannel:
     return KrausChannel(2, ops)
 
 
+def _dilation_kraus_stack(
+    sys_dim: int,
+    env_dim: int,
+    rngs,
+    env_state=None,
+) -> np.ndarray:
+    """Kraus stack of one Haar-dilation channel per generator.
+
+    Each generator draws one Haar unitary U of dimension sys_dim * env_dim
+    (all of them factored by one batched QR), and
+    E_k = (I (x) <k|) U (I (x) |env>) for k < env_dim with ``env_state``
+    defaulting to |0>. Returns shape (len(rngs), env_dim, sys_dim, sys_dim).
+    With the default state only the columns of U that |0> selects are
+    formed.
+    """
+    if sys_dim < 2:
+        raise ValueError(f"sys_dim must be >= 2, got {sys_dim}")
+    if env_dim < 1:
+        raise ValueError(f"env_dim must be >= 1, got {env_dim}")
+    n, d = sys_dim, env_dim
+    if env_state is None:
+        # column b * d + 0 of U is system column b with the environment in |0>
+        columns = slice(0, None, d)
+    else:
+        e = np.asarray(env_state, dtype=np.complex128).ravel()
+        if e.shape != (d,):
+            raise ValueError(f"env_state must have length {d}")
+        if abs(np.linalg.norm(e) - 1.0) > 1e-12:
+            raise ValueError("env_state must be normalized")
+        columns = slice(None)
+    u = haar_from_ginibre(ginibre_stack(n * d, rngs)[:, 0], columns)
+    if env_state is None:
+        ops = u.reshape(-1, n, d, n)
+    else:
+        ops = np.einsum("zakbt,t->zakb", u.reshape(-1, n, d, n, d), e)
+    return np.ascontiguousarray(ops.transpose(0, 2, 1, 3))
+
+
 def random_channel(
     sys_dim: int,
     env_dim: int,
@@ -324,25 +362,11 @@ def random_channel(
     Draws a Haar unitary of dimension sys_dim * env_dim, couples the system
     to the environment prepared in ``env_state`` (default |0>), and traces
     the environment: E_k = (I (x) <k|) U (I (x) |env>) for k < env_dim.
-    Trace preserving by construction.
+    Trace preserving by construction. A batch of one of the samplers'
+    stack, so a sampler record's seed regenerates its channel bit for bit.
     """
-    if sys_dim < 2:
-        raise ValueError(f"sys_dim must be >= 2, got {sys_dim}")
-    if env_dim < 1:
-        raise ValueError(f"env_dim must be >= 1, got {env_dim}")
-    u = haar_unitary(sys_dim * env_dim, rng)
-    t = u.reshape(sys_dim, env_dim, sys_dim, env_dim)
-    if env_state is None:
-        ops = t[:, :, :, 0]
-    else:
-        e = np.asarray(env_state, dtype=np.complex128).ravel()
-        if e.shape != (env_dim,):
-            raise ValueError(f"env_state must have length {env_dim}")
-        if abs(np.linalg.norm(e) - 1.0) > 1e-12:
-            raise ValueError("env_state must be normalized")
-        ops = np.einsum("akbt,t->akb", t, e)
-    kraus = tuple(np.ascontiguousarray(ops[:, k, :]) for k in range(env_dim))
-    return KrausChannel(sys_dim, kraus)
+    ops = _dilation_kraus_stack(sys_dim, env_dim, [rng], env_state)[0]
+    return KrausChannel(sys_dim, tuple(ops))
 
 
 def compose(f: KrausChannel, e: KrausChannel) -> KrausChannel:

@@ -93,18 +93,26 @@ def _cmd_table1(args) -> int:
     return 0
 
 
+def _warn_dead_restarts(args) -> None:
+    if args.restarts is not None:
+        print(f"note: --restarts is deprecated and ignored by {args.command}: "
+              "it samples qubit channels, which take an exact path",
+              file=sys.stderr)
+
+
 def _cmd_tightness(args) -> int:
+    _warn_dead_restarts(args)
     result = run_tightness(
         samples=args.samples,
         env_dim=args.env_dim,
         seed=args.seed,
         stratified=args.stratified,
         attempt_cap=args.attempt_cap,
-        restarts=args.restarts,
     )
     print(f"# tightness seed={args.seed} samples={args.samples} "
           f"stratified={args.stratified} attempts={result.attempts} "
-          f"records={len(result.records)}")
+          f"records={len(result.records)} nonconverged={result.nonconverged} "
+          f"exact={result.exact}")
     if result.underfilled:
         for b, count in sorted(result.underfilled.items()):
             lo = result.bin_edges[b]
@@ -125,20 +133,21 @@ def _cmd_tightness(args) -> int:
 
 
 def _cmd_distribution(args) -> int:
+    _warn_dead_restarts(args)
     env_dims = [int(tok) for tok in args.env_dims.split(",") if tok]
     hists = run_distribution(
         samples=args.samples,
         env_dims=env_dims,
         seed=args.seed,
         num_bins=args.bins,
-        restarts=args.restarts,
         du_column=args.du_column,
     )
     print(f"# distribution seed={args.seed} samples={args.samples} "
           f"env_dims={','.join(str(d) for d in env_dims)} du_column={args.du_column}")
     for hist in hists:
         print(f"env_dim={hist.env_dim}: mean={hist.mean:.6f} "
-              f"mean_lb1={hist.mean_lb1:.6f} samples={hist.sample_count}")
+              f"mean_lb1={hist.mean_lb1:.6f} samples={hist.sample_count} "
+              f"nonconverged={hist.nonconverged} exact={hist.exact}")
         if args.out:
             root, ext = os.path.splitext(args.out)
             path = f"{root}_d{hist.env_dim}{ext or '.csv'}"
@@ -192,9 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stratified", action="store_true")
     p.add_argument("--env-dim", type=int, default=2)
     p.add_argument("--attempt-cap", type=int, default=1_000_000)
-    p.add_argument("--restarts", type=int, default=4,
-                   help="ascent restarts; no effect here, since the sampled "
-                   "qubit channels take an exact path")
+    p.add_argument("--restarts", type=int, help=argparse.SUPPRESS)  # deprecated, ignored
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=_cmd_tightness)
 
@@ -203,9 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--env-dims", default="2,4")
     p.add_argument("--bins", type=int, default=30)
-    p.add_argument("--restarts", type=int, default=4,
-                   help="ascent restarts; no effect here, since the sampled "
-                   "qubit channels take an exact path")
+    p.add_argument("--restarts", type=int, help=argparse.SUPPRESS)  # deprecated, ignored
     p.add_argument("--du-column", choices=("dispatcher", "lb1"), default="dispatcher")
     p.add_argument("--out", help="CSV output base path (one file per env dim)")
     p.set_defaults(func=_cmd_distribution)

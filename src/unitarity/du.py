@@ -46,7 +46,7 @@ from .channels import (
     canonicalize,
     require_trace_preserving,
 )
-from .linalg import haar_unitary, polar
+from .linalg import ginibre_stack, haar_from_ginibre, polar
 
 EXACT_METHOD = "exact_mixed_unitary"
 OPTIMIZER_METHOD = "numerical_optimizer"
@@ -70,7 +70,12 @@ class OrthogonalityError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DuResult:
-    """Best available DU value with the (near-)maximizing unitary witness."""
+    """Best available DU value with the (near-)maximizing unitary witness.
+
+    ``iterations`` is the winning start's own sweep count (0 on the exact
+    path), and ``objective_trace``, when requested, that start's objective
+    before and after each sweep.
+    """
 
     value: float
     method: str
@@ -188,8 +193,10 @@ def _ascend(
 ):
     """Fixed-point ascent from a stack of unitary starts.
 
-    Returns (objectives, unitaries, iterations, converged_flags, traces).
-    Objectives are the raw f(U) = sum_k |<U, F_k>|^2 values. An ascent step
+    Returns (objectives, unitaries, sweeps, converged_flags, traces).
+    Objectives are the raw f(U) = sum_k |<U, F_k>|^2 values; ``sweeps``
+    counts each start's own sweeps until it converged or the cap stopped it,
+    so a start's trace has sweeps + 1 entries. An ascent step
     that decreases the objective beyond floating-point noise indicates a
     broken update and raises ArithmeticError.
     """
@@ -198,6 +205,7 @@ def _ascend(
     f = (np.abs(ov) ** 2).sum(axis=1)
     n_starts = u.shape[0]
     converged = np.zeros(n_starts, dtype=bool)
+    sweeps = np.zeros(n_starts, dtype=int)
     iterations = 0
     traces = [[float(v)] for v in f] if want_trace else None
     active = np.arange(n_starts)
@@ -216,10 +224,11 @@ def _ascend(
             for idx, val in zip(active, f_new):
                 traces[idx].append(float(val))
         iterations += 1
+        sweeps[active] = iterations
         done = np.abs(delta) < tol
         converged[active[done]] = True
         active = active[~done]
-    return f, u, iterations, converged, traces
+    return f, u, sweeps, converged, traces
 
 
 def _optimize_canonical(
@@ -233,17 +242,19 @@ def _optimize_canonical(
 ) -> DuResult:
     n = ck.dim
     ops = np.stack(ck.ops)
-    starts = [bounds.witness_lb1, bounds.witness_lb2]
-    starts += [haar_unitary(n, rng) for _ in range(restarts)]
-    f, u, iterations, converged, traces = _ascend(
-        ops, np.stack(starts), tol, max_iter, trace
+    starts = np.concatenate(
+        [
+            np.stack([bounds.witness_lb1, bounds.witness_lb2]),
+            haar_from_ginibre(ginibre_stack(n, [rng], restarts))[0],
+        ]
     )
+    f, u, sweeps, converged, traces = _ascend(ops, starts, tol, max_iter, trace)
     best = int(np.argmax(f))
     return DuResult(
         value=float(f[best]) / n**2,
         method=OPTIMIZER_METHOD,
         witness=np.ascontiguousarray(u[best]),
-        iterations=iterations,
+        iterations=int(sweeps[best]),
         converged=bool(converged[best]),
         objective_trace=tuple(traces[best]) if trace else None,
     )

@@ -7,6 +7,14 @@ seed (SeedSequence spawn keys), so results are bit-reproducible for a given
 master seed regardless of chunking, and any single sampled channel can be
 regenerated from the seed stored in its record.
 
+Sampling is batched over a chunk: each seed gets its own generator, every
+generator draws its Ginibre entries in one call, and one QR factors the
+whole chunk's dilation unitaries (the ascent's restart unitaries likewise,
+drawn after their channel). This is the same path :func:`unitarity.random_channel`
+takes as a batch of one, so
+``random_channel(n, d, np.random.default_rng(record.seed))`` regenerates a
+record's channel bit for bit.
+
 The samplers evaluate channels through a vectorized bulk pipeline that
 follows the per-channel dispatcher :func:`unitarity.du.du`: the same
 canonicalization, bounds and exact mixed-unitary path, and for systems of
@@ -26,7 +34,7 @@ import numpy as np
 from .channels import (
     PROPORTIONALITY_TOL,
     KrausChannel,
-    random_channel,
+    _dilation_kraus_stack,
     standard_channel,
 )
 from .du import (
@@ -37,7 +45,7 @@ from .du import (
     _qubit_du_stack,
     du,
 )
-from .linalg import RANK_CUTOFF, haar_unitary
+from .linalg import RANK_CUTOFF, ginibre_stack, haar_from_ginibre
 
 CHANNEL_FAMILIES = ("depolarizing", "bit_flip", "phase_flip", "amplitude_damping")
 
@@ -179,6 +187,9 @@ def _evaluate_dilation_batch(
 ) -> _BulkResult:
     """Sample one Haar-dilation channel per seed and evaluate DU + bounds.
 
+    The channels are drawn as one Kraus stack. For systems of dimension 3
+    and up, the generator of each channel that takes the ascent then draws
+    its ``restarts`` Haar starts, all of them factored as one stack.
     Follows the dispatcher: canonical form, bound report, exact path when
     every canonical operator is proportional to a unitary, the exact qubit
     kernel for the other qubit channels, and otherwise a fixed-point
@@ -187,9 +198,7 @@ def _evaluate_dilation_batch(
     n, d = sys_dim, env_dim
     n_batch = len(seeds)
     rngs = [np.random.default_rng(s) for s in seeds]
-    ops = np.empty((n_batch, d, n, n), dtype=np.complex128)
-    for b, rng in enumerate(rngs):
-        ops[b] = np.stack(random_channel(n, d, rng, env_state).kraus)
+    ops = _dilation_kraus_stack(n, d, rngs, env_state)
 
     # canonical form, batched over channels
     vecs_flat = ops.reshape(n_batch, d, n * n)
@@ -229,9 +238,7 @@ def _evaluate_dilation_batch(
         starts = np.empty((todo.size, n_starts, n, n), dtype=np.complex128)
         starts[:, 0] = w1[todo]
         starts[:, 1] = w0[todo]
-        for j, b in enumerate(todo):
-            for r in range(restarts):
-                starts[j, 2 + r] = haar_unitary(n, rngs[b])
+        starts[:, 2:] = haar_from_ginibre(ginibre_stack(n, [rngs[b] for b in todo], restarts))
         f_best, _, conv = _ascend_bulk(f_ops[todo], starts, tol, max_iter)
         values[todo] = f_best / n**2
         converged[todo] = conv
@@ -268,12 +275,20 @@ class TightnessRecord:
 
 @dataclass(frozen=True, eq=False)
 class TightnessResult:
+    """Recorded samples of a tightness run.
+
+    ``nonconverged`` counts the records whose ascent hit its iteration cap,
+    and ``exact`` the records that took the exact mixed-unitary path.
+    """
+
     records: tuple[TightnessRecord, ...]
     attempts: int
     master_seed: int
     bin_edges: np.ndarray | None = None
     target_per_bin: int | None = None
     underfilled: dict[int, int] | None = None
+    nonconverged: int = 0
+    exact: int = 0
 
 
 def sorted_by_du(records):
@@ -307,6 +322,8 @@ def run_tightness(
         raise ValueError(f"samples must be >= 1, got {samples}")
     lo = 1.0 / sys_dim**2
     records: list[TightnessRecord] = []
+    nonconverged = 0
+    exact = 0
 
     if not stratified:
         for start in range(0, samples, chunk):
@@ -315,8 +332,14 @@ def run_tightness(
             bulk = _evaluate_dilation_batch(sys_dim, env_dim, seeds, restarts)
             for i in range(count):
                 records.append(_record(bulk, i, seeds[i]))
+            nonconverged += int(np.count_nonzero(~bulk.converged))
+            exact += int(np.count_nonzero(bulk.exact))
         return TightnessResult(
-            records=tuple(records), attempts=samples, master_seed=seed
+            records=tuple(records),
+            attempts=samples,
+            master_seed=seed,
+            nonconverged=nonconverged,
+            exact=exact,
         )
 
     n_bins = int(round((1.0 - lo) / bin_width))
@@ -336,6 +359,8 @@ def run_tightness(
             if counts[b] < target:
                 counts[b] += 1
                 records.append(_record(bulk, i, seeds[i]))
+                nonconverged += int(not bulk.converged[i])
+                exact += int(bulk.exact[i])
             if counts.min() >= target:
                 break
     underfilled = {b: int(counts[b]) for b in range(n_bins) if counts[b] < target}
@@ -346,6 +371,8 @@ def run_tightness(
         bin_edges=edges,
         target_per_bin=target,
         underfilled=underfilled,
+        nonconverged=nonconverged,
+        exact=exact,
     )
 
 
@@ -371,6 +398,12 @@ def _record(bulk: _BulkResult, i: int, seed_i: int) -> TightnessRecord:
 
 @dataclass(frozen=True, eq=False)
 class DuHistogram:
+    """Binned DU samples for one environment dimension.
+
+    ``nonconverged`` counts the samples whose ascent hit its iteration cap,
+    and ``exact`` the samples that took the exact mixed-unitary path.
+    """
+
     env_dim: int
     bin_edges: np.ndarray
     counts: np.ndarray
@@ -379,6 +412,8 @@ class DuHistogram:
     seed: int
     du_column: str = "dispatcher"
     mean_lb1: float = float("nan")
+    nonconverged: int = 0
+    exact: int = 0
 
     @property
     def std_error(self) -> float:
@@ -415,12 +450,16 @@ def run_distribution(
     for j, env_dim in enumerate(env_dims):
         values = np.empty(samples)
         lb1s = np.empty(samples)
+        nonconverged = 0
+        exact = 0
         for start in range(0, samples, chunk):
             count = min(chunk, samples - start)
             seeds = [attempt_seed(seed, (j, start + i)) for i in range(count)]
             bulk = _evaluate_dilation_batch(sys_dim, env_dim, seeds, restarts)
             values[start : start + count] = bulk.du
             lb1s[start : start + count] = bulk.lb1
+            nonconverged += int(np.count_nonzero(~bulk.converged))
+            exact += int(np.count_nonzero(bulk.exact))
         binned = values if du_column == "dispatcher" else lb1s
         if binned.min() < lo - 1e-9 or binned.max() > 1.0 + 1e-9:
             raise ArithmeticError("sampled DU escaped the [1/n^2, 1] range")
@@ -435,6 +474,8 @@ def run_distribution(
                 seed=seed,
                 du_column=du_column,
                 mean_lb1=float(lb1s.mean()),
+                nonconverged=nonconverged,
+                exact=exact,
             )
         )
     return out

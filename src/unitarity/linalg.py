@@ -3,6 +3,12 @@
 Everything operates on plain numpy ``complex128`` arrays in row-major order.
 Spectral outputs (singular values, Hermitian eigenvalues) are always sorted
 in descending order so downstream results serialize deterministically.
+
+Haar sampling has one path: :func:`ginibre_stack` draws the Gaussian
+entries, one ``standard_normal`` call per generator, and
+:func:`haar_from_ginibre` turns the whole stack into Haar unitaries with one
+batched QR. :func:`haar_unitary` is a stack of one, so a generator yields
+the same unitaries whether they are drawn one at a time or as a stack.
 """
 
 from __future__ import annotations
@@ -97,20 +103,57 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed random unitary of the given dimension.
+def ginibre_stack(dim: int, rngs, count: int = 1) -> np.ndarray:
+    """Real Gaussian draws for ``count`` complex Ginibre matrices per generator.
 
-    QR of a complex Ginibre matrix, with the R-diagonal phases pushed into Q
-    (Q * diag(r_jj/|r_jj|)); the raw QR convention alone is not Haar.
-    Deterministic for a given generator state.
+    Returns shape ``(len(rngs), count, 2, dim, dim)``: the real then the
+    imaginary part of each matrix. Each generator fills its block in one
+    ``standard_normal`` call, which consumes its stream exactly as ``count``
+    sequential :func:`haar_unitary` calls would.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    g = np.empty((len(rngs), count, 2, dim, dim))
+    for block, rng in zip(g, rngs):
+        rng.standard_normal(out=block)
+    return g
+
+
+def haar_from_ginibre(g: np.ndarray, columns=slice(None)) -> np.ndarray:
+    """Haar unitaries from a stack of Ginibre draws, one QR for the stack.
+
+    ``g`` has shape ``(..., 2, m, m)`` as returned by :func:`ginibre_stack`.
+    Each matrix z = (re + i im) / sqrt(2) is factored as z = QR and the
+    R-diagonal phases are pushed into Q (Q * diag(r_jj/|r_jj|)); the raw QR
+    convention alone is not Haar (Mezzadri, Notices AMS 54, 2007). Only the
+    requested ``columns`` of each unitary are phased and returned, so the
+    result has shape ``(..., m, len(columns))``. Every matrix comes out bit
+    for bit as if it had been factored alone.
+    """
+    # Each stack is as large as the chunk it serves, so every intermediate
+    # is dropped as soon as it is used; the sampler's peak memory is that of
+    # the QR.
+    z = np.empty(g.shape[:-3] + g.shape[-2:], dtype=np.complex128)
+    z.real = g[..., 0, :, :]
+    z.imag = g[..., 1, :, :]
+    del g
+    z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    ph = np.where(np.abs(d) > 0.0, d / np.where(np.abs(d) > 0.0, np.abs(d), 1.0), 1.0)
-    return q * ph
+    del z
+    d = np.diagonal(r, axis1=-2, axis2=-1)[..., columns]
+    mag = np.abs(d)
+    ph = np.where(mag > 0.0, d / np.where(mag > 0.0, mag, 1.0), 1.0)
+    del r, d, mag
+    return q[..., columns] * ph[..., None, :]
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed random unitary of the given dimension.
+
+    A stack of one through :func:`haar_from_ginibre`. Deterministic for a
+    given generator state.
+    """
+    return haar_from_ginibre(ginibre_stack(dim, [rng]))[0, 0]
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:

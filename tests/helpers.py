@@ -78,3 +78,31 @@ def remix_kraus(ch: KrausChannel, rng: np.random.Generator, extra: int = 0) -> K
     ops = np.stack(ch.kraus)
     mixed = np.einsum("mk,kab->mab", v, ops)
     return KrausChannel(ch.dim, tuple(mixed))
+
+
+def reference_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar unitary by the unbatched construction.
+
+    The real then the imaginary Gaussian block from the generator, QR of the
+    single matrix, and the R-diagonal phases pushed into Q. The library's
+    batched sampler must reproduce it bit for bit.
+    """
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    ph = np.where(np.abs(d) > 0.0, d / np.where(np.abs(d) > 0.0, np.abs(d), 1.0), 1.0)
+    return q * ph
+
+
+def reference_dilation_kraus(
+    sys_dim: int, env_dim: int, rng: np.random.Generator, env_state=None
+) -> np.ndarray:
+    """Kraus stack (env_dim, sys_dim, sys_dim) of one Haar-dilation channel,
+    built from :func:`reference_haar_unitary` one seed at a time."""
+    u = reference_haar_unitary(sys_dim * env_dim, rng)
+    t = u.reshape(sys_dim, env_dim, sys_dim, env_dim)
+    if env_state is None:
+        ops = t[:, :, :, 0]
+    else:
+        ops = np.einsum("akbt,t->akb", t, np.asarray(env_state, dtype=np.complex128))
+    return np.ascontiguousarray(ops.transpose(1, 0, 2))

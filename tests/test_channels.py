@@ -18,9 +18,9 @@ from unitarity import (
     unitary_channel,
     validate,
 )
-from unitarity.channels import PAULI_X
+from unitarity.channels import PAULI_X, _dilation_kraus_stack
 
-from helpers import random_mixed_unitary_channel, random_su2
+from helpers import random_mixed_unitary_channel, random_su2, reference_dilation_kraus
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 
@@ -305,6 +305,42 @@ class TestRandomChannel:
             random_channel(1, 2, rng)
         with pytest.raises(ValueError):
             random_channel(2, 0, rng)
+
+    def test_rejects_bad_env_state(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            random_channel(2, 2, rng, env_state=[1.0, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            random_channel(2, 2, rng, env_state=[1.0, 1.0])
+
+
+def _env_state(d):
+    v = np.arange(1, d + 1) + 1j * np.arange(d)[::-1]
+    return v / np.linalg.norm(v)
+
+
+class TestDilationStack:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("with_state", [False, True])
+    def test_matches_per_seed_channels(self, n, d, with_state):
+        seeds = list(range(40, 52))
+        env = _env_state(d) if with_state else None
+        stack = _dilation_kraus_stack(n, d, [np.random.default_rng(s) for s in seeds], env)
+        assert stack.shape == (len(seeds), d, n, n)
+        for ops, s in zip(stack, seeds):
+            ch = random_channel(n, d, np.random.default_rng(s), env)
+            assert np.array_equal(ops, np.stack(ch.kraus))
+            ref = reference_dilation_kraus(n, d, np.random.default_rng(s), env)
+            assert np.array_equal(ops, ref)
+
+    def test_generators_advance_like_per_seed_draws(self):
+        rngs = [np.random.default_rng(s) for s in (1, 2)]
+        _dilation_kraus_stack(3, 2, rngs)
+        for rng, s in zip(rngs, (1, 2)):
+            ref = np.random.default_rng(s)
+            random_channel(3, 2, ref)
+            assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
 
 
 class TestCompose:

@@ -130,6 +130,55 @@ class TestRandomizedCommands:
             assert f"env_dim={d}" in lines[0]
             assert "seed=9" in lines[0]
 
+    def test_summary_lines_report_counts(self, capsys):
+        assert main(["tightness", "--samples", "6", "--seed", "2", "--env-dim", "1"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.startswith("# tightness ")
+        assert header.endswith("records=6 nonconverged=0 exact=6")
+        assert main(["distribution", "--samples", "30", "--env-dims", "1,2", "--seed", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].endswith("samples=30 nonconverged=0 exact=30")
+        assert lines[2].startswith("env_dim=2: ")
+        assert lines[2].endswith("samples=30 nonconverged=0 exact=0")
+
+
+class TestDeprecatedRestarts:
+    @pytest.mark.parametrize(
+        "argv, outputs",
+        [
+            (["tightness", "--samples", "12", "--seed", "3", "--env-dim", "4"],
+             ["t.csv", "t_by_ub.csv"]),
+            (["distribution", "--samples", "60", "--env-dims", "2,4", "--seed", "3"],
+             ["t_d2.csv", "t_d4.csv"]),
+        ],
+    )
+    def test_accepted_ignored_and_noted(self, tmp_path, capsys, argv, outputs):
+        runs = []
+        for restarts in ("1", "9"):
+            out_dir = tmp_path / restarts
+            out_dir.mkdir()
+            code = main(argv + ["--restarts", restarts, "--out", str(out_dir / "t.csv")])
+            assert code == 0
+            captured = capsys.readouterr()
+            assert "--restarts is deprecated and ignored" in captured.err
+            stdout = captured.out.replace(str(out_dir), "<dir>")
+            files = [(out_dir / name).read_bytes() for name in outputs]
+            runs.append((stdout, files))
+        assert runs[0] == runs[1]
+
+    def test_no_note_without_the_flag(self, capsys):
+        assert main(["tightness", "--samples", "3", "--seed", "1"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["tightness", "distribution"])
+    def test_hidden_from_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        assert "--seed" in help_text
+        assert "--restarts" not in help_text
+
 
 class TestWitnessCommand:
     def test_flags_recovery(self, tmp_path, capsys):

@@ -150,6 +150,15 @@ class TestOptimizer:
             seq = np.array(res.objective_trace)
             assert np.all(np.diff(seq) >= -1e-12 * np.maximum(1.0, seq[:-1]))
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_iterations_count_the_winning_starts_sweeps(self, n):
+        rng = np.random.default_rng(10 + n)
+        for _ in range(4):
+            ch = random_channel(n, 3, rng)
+            res = du_optimize(ch, restarts=6, rng=rng, trace=True)
+            assert res.iterations == len(res.objective_trace) - 1
+            assert res.iterations >= 1
+
     def test_witness_reproduces_value(self):
         rng = np.random.default_rng(9)
         for _ in range(20):

@@ -146,6 +146,34 @@ class TestTightness:
         res, _ = du(ch, restarts=4, rng=rng)
         assert res.value == pytest.approx(r.du_value, abs=1e-9)
 
+    def test_qutrit_record_seed_regenerates_channel_and_du(self):
+        result = run_tightness(samples=6, sys_dim=3, env_dim=2, seed=4, restarts=2)
+        for r in result.records:
+            # a batch of one from the record's seed is the same sample, bit for bit
+            alone = _evaluate_dilation_batch(3, 2, [r.seed], restarts=2)
+            assert alone.du[0] == r.du_value
+            assert alone.lb1[0] == r.lb1
+            assert alone.ub[0] == r.ub
+            # and the seed's channel, then its restart draws, feed du()
+            rng = np.random.default_rng(r.seed)
+            ch = random_channel(3, 2, rng)
+            res, bounds = du(ch, restarts=2, rng=rng)
+            assert res.value == pytest.approx(r.du_value, abs=1e-9)
+            assert bounds.lb1 == pytest.approx(r.lb1, abs=1e-12)
+            assert bounds.ub == pytest.approx(r.ub, abs=1e-12)
+
+    def test_counts_exact_and_nonconverged(self):
+        unitary = run_tightness(samples=20, env_dim=1, seed=5)
+        assert unitary.exact == 20
+        assert unitary.nonconverged == 0
+        default = run_tightness(samples=40, seed=5)
+        assert default.nonconverged == 0
+        assert default.exact == 0
+        stratified = run_tightness(
+            samples=45, seed=13, stratified=True, attempt_cap=600, env_dim=1
+        )
+        assert stratified.exact == len(stratified.records)
+
 
 class TestQualitativeTightnessStory:
     def test_lower_bound_exact_for_rank_two_channels(self):
@@ -180,6 +208,14 @@ class TestDistribution:
         assert hist.counts.sum() == 50
         assert hist.counts[-1] == 50
         assert hist.mean == pytest.approx(1.0, abs=1e-9)
+        assert hist.exact == 50
+        assert hist.nonconverged == 0
+
+    def test_counts_over_chunks(self):
+        h1, h4 = run_distribution(samples=300, env_dims=[1, 4], seed=29, chunk=128)
+        assert (h1.exact, h1.nonconverged) == (300, 0)
+        assert h4.nonconverged == 0
+        assert h4.exact == 0
 
     def test_mean_ordering_and_support(self):
         hists = run_distribution(samples=1500, env_dims=[2, 4], seed=17, restarts=2)

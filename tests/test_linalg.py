@@ -5,6 +5,8 @@ from unitarity import linalg
 from unitarity.linalg import (
     as_matrix,
     assert_unitary,
+    ginibre_stack,
+    haar_from_ginibre,
     haar_state,
     haar_unitary,
     hermitian_eig,
@@ -14,7 +16,7 @@ from unitarity.linalg import (
     unitarity_defect,
 )
 
-from helpers import PAULI_X, PAULI_Z
+from helpers import PAULI_X, PAULI_Z, reference_haar_unitary
 
 
 class TestHsInner:
@@ -171,6 +173,59 @@ class TestHaarUnitary:
         assert_unitary(np.eye(3))
         with pytest.raises(ValueError):
             assert_unitary(np.diag([1.0, 0.5]))
+
+
+class TestHaarStack:
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_single_draw_matches_unbatched_construction(self, dim):
+        u = haar_unitary(dim, np.random.default_rng(dim))
+        ref = reference_haar_unitary(dim, np.random.default_rng(dim))
+        assert np.array_equal(u, ref)
+        stack = haar_from_ginibre(ginibre_stack(dim, [np.random.default_rng(dim)]))
+        assert stack.shape == (1, 1, dim, dim)
+        assert np.array_equal(stack[0, 0], ref)
+
+    @pytest.mark.parametrize("dim", range(1, 17))
+    def test_k_stack_equals_k_sequential_draws(self, dim):
+        k = 5
+        seq_rng = np.random.default_rng(100 + dim)
+        sequential = [haar_unitary(dim, seq_rng) for _ in range(k)]
+        stack_rng = np.random.default_rng(100 + dim)
+        stack = haar_from_ginibre(ginibre_stack(dim, [stack_rng], k))[0]
+        assert stack.shape == (k, dim, dim)
+        for a, b in zip(stack, sequential):
+            assert np.array_equal(a, b)
+        # both generators stand at the same position afterwards
+        assert np.array_equal(stack_rng.standard_normal(4), seq_rng.standard_normal(4))
+
+    def test_one_generator_per_row(self):
+        dim, k = 3, 2
+        rngs = [np.random.default_rng(s) for s in (7, 8, 9)]
+        stack = haar_from_ginibre(ginibre_stack(dim, rngs, k))
+        assert stack.shape == (3, k, dim, dim)
+        for row, s in zip(stack, (7, 8, 9)):
+            rng = np.random.default_rng(s)
+            for u in row:
+                assert np.array_equal(u, reference_haar_unitary(dim, rng))
+
+    def test_column_selection_matches_full_unitary(self):
+        g = ginibre_stack(6, [np.random.default_rng(3)], 4)
+        full = haar_from_ginibre(g)
+        cols = slice(1, None, 3)
+        assert np.array_equal(haar_from_ginibre(g, cols), full[..., cols])
+
+    def test_empty_stack(self):
+        rng = np.random.default_rng(4)
+        assert haar_from_ginibre(ginibre_stack(3, [rng], 0)).shape == (1, 0, 3, 3)
+        # drawing nothing leaves the generator untouched
+        assert np.array_equal(rng.standard_normal(2), np.random.default_rng(4).standard_normal(2))
+
+    def test_rejects_bad_sizes(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            ginibre_stack(0, [rng])
+        with pytest.raises(ValueError):
+            ginibre_stack(2, [rng], -1)
 
 
 class TestHaarState:
