@@ -222,6 +222,33 @@ def chi_to_kraus(
     return KrausChannel(x.dim, tuple(ops))
 
 
+def _canonical_stack(kraus: np.ndarray, cutoff: float = RANK_CUTOFF):
+    """Canonical form of a (B, K, n, n) stack of Kraus sets.
+
+    One batched ``eigh`` of the correlation matrices. Returns the weights
+    (B, R), the operators (B, R, n, n) and the eigenvector matrices
+    (B, K, K), the conjugate transposes of the mixing matrices. R is the
+    largest rank in the stack (at most n^2, else ChannelValidationError);
+    weights at or below ``cutoff`` and their operators are set to zero.
+    """
+    n_batch, k, n = kraus.shape[:3]
+    flat = kraus.reshape(n_batch, k, n * n)
+    corr = np.einsum("bjx,bkx->bjk", flat.conj(), flat)
+    vals, vecs = np.linalg.eigh(corr)
+    vals = vals[:, ::-1]
+    vecs = vecs[:, :, ::-1]
+    keep = vals > cutoff
+    rank = int(keep.sum(axis=1).max())
+    if rank > n * n:
+        raise ChannelValidationError(
+            f"correlation matrix rank {rank} exceeds dim^2 = {n * n}"
+        )
+    keep = keep[:, :rank]
+    ops = np.einsum("bji,bjxy->bixy", vecs, kraus)[:, :rank]
+    weights = np.where(keep, vals[:, :rank], 0.0)
+    return weights, np.where(keep[..., None, None], ops, 0.0), vecs
+
+
 def canonicalize(ch: KrausChannel, *, cutoff: float = RANK_CUTOFF) -> CanonicalKraus:
     """Diagonalize the correlation matrix W_jk = <E_j, E_k> into orthogonal form.
 
@@ -230,22 +257,27 @@ def canonicalize(ch: KrausChannel, *, cutoff: float = RANK_CUTOFF) -> CanonicalK
     Combinations with weight at or below ``cutoff`` are discarded; at most
     dim^2 operators survive.
     """
-    ops = np.stack(ch.kraus)
-    k, n = ops.shape[0], ch.dim
-    v = ops.reshape(k, n * n)
-    w_mat = v.conj() @ v.T
-    vals, vecs = np.linalg.eigh(w_mat)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    f_ops = np.einsum("ji,jab->iab", vecs, ops)
-    keep = vals > cutoff
-    weights = np.clip(vals[keep], 0.0, None)
-    kept = tuple(np.ascontiguousarray(f_ops[i]) for i in range(k) if keep[i])
-    if len(kept) > n * n:
-        raise ChannelValidationError(
-            f"correlation matrix rank {len(kept)} exceeds dim^2 = {n * n}"
-        )
-    return CanonicalKraus(dim=n, ops=kept, weights=weights, mixing=vecs.conj().T)
+    weights, ops, vecs = _canonical_stack(np.stack(ch.kraus)[None], cutoff)
+    return CanonicalKraus(
+        dim=ch.dim,
+        ops=tuple(np.ascontiguousarray(op) for op in ops[0]),
+        weights=weights[0],
+        mixing=vecs[0].conj().T,
+    )
+
+
+def _unitary_multiples(ops: np.ndarray, tol: float = PROPORTIONALITY_TOL):
+    """Which operators of a (B, K, n, n) stack satisfy F† F = c I.
+
+    The test holds within ``tol`` in Frobenius norm, relative to
+    max(1, tr F† F); a zero operator passes. Returns the (B, K) flags and
+    c = tr(F† F) / n.
+    """
+    n = ops.shape[-1]
+    gram = np.einsum("bkli,bklj->bkij", ops.conj(), ops)
+    c = np.einsum("bkii->bk", gram).real / n
+    dev = np.linalg.norm(gram - c[..., None, None] * np.eye(n), axis=(-2, -1))
+    return dev <= tol * np.maximum(1.0, c * n), c
 
 
 def as_mixed_unitary(
@@ -254,19 +286,18 @@ def as_mixed_unitary(
     """Extract E_k = alpha_k U_k structure from a canonical Kraus set.
 
     Each operator is tested for F† F proportional to I within ``tol``
-    (Frobenius norm, relative to max(1, tr F† F)). Returns None when any
-    operator fails; this is the regular "not mixed-unitary" outcome, not an
-    error.
+    (Frobenius norm, relative to max(1, tr F† F)), the DU core's test.
+    Returns None when any operator fails; this is the regular "not
+    mixed-unitary" outcome, not an error.
     """
     n = ck.dim
+    ok, c = _unitary_multiples(np.stack(ck.ops)[None], tol)
+    if not ok.all():
+        return None
     unitaries = []
     coeffs = []
-    for f_op in ck.ops:
-        gram = f_op.conj().T @ f_op
-        c = float(np.trace(gram).real) / n
-        if np.linalg.norm(gram - c * np.eye(n)) > tol * max(1.0, c * n):
-            return None
-        a = np.sqrt(max(c, 0.0))
+    for f_op, c_k in zip(ck.ops, c[0]):
+        a = np.sqrt(max(c_k, 0.0))
         u = f_op / a
         flat = u.ravel()
         first = flat[np.abs(flat) > 1e-12]

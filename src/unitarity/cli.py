@@ -134,16 +134,15 @@ def _cmd_tightness(args) -> int:
 
 def _cmd_distribution(args) -> int:
     _warn_dead_restarts(args)
-    env_dims = [int(tok) for tok in args.env_dims.split(",") if tok]
     hists = run_distribution(
         samples=args.samples,
-        env_dims=env_dims,
+        env_dims=args.env_dims,
         seed=args.seed,
         num_bins=args.bins,
         du_column=args.du_column,
     )
     print(f"# distribution seed={args.seed} samples={args.samples} "
-          f"env_dims={','.join(str(d) for d in env_dims)} du_column={args.du_column}")
+          f"env_dims={','.join(str(d) for d in args.env_dims)} du_column={args.du_column}")
     for hist in hists:
         print(f"env_dim={hist.env_dim}: mean={hist.mean:.6f} "
               f"mean_lb1={hist.mean_lb1:.6f} samples={hist.sample_count} "
@@ -166,6 +165,22 @@ def _cmd_witness(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+def _dim_list(text: str) -> list[int]:
+    """argparse type: comma-separated integers, each at least 1."""
+    return [_int_at_least(1)(tok) for tok in text.split(",") if tok]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unitarity",
@@ -182,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("du", help="degree of unitarity of a channel file")
     p.add_argument("channel", help="channel JSON file")
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=_int_at_least(0), default=32)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_du)
 
@@ -191,25 +206,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("table1", help="closed-form benchmark over parameter grids")
-    p.add_argument("--grid", type=int, default=51)
+    p.add_argument("--grid", type=_int_at_least(1), default=51)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("tightness", help="bound-tightness study on random channels")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--stratified", action="store_true")
-    p.add_argument("--env-dim", type=int, default=2)
-    p.add_argument("--attempt-cap", type=int, default=1_000_000)
+    p.add_argument("--env-dim", type=_int_at_least(1), default=2)
+    p.add_argument("--attempt-cap", type=_int_at_least(1), default=1_000_000)
     p.add_argument("--restarts", type=int, help=argparse.SUPPRESS)  # deprecated, ignored
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=_cmd_tightness)
 
     p = sub.add_parser("distribution", help="DU distribution of random channels")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--env-dims", default="2,4")
-    p.add_argument("--bins", type=int, default=30)
+    p.add_argument("--env-dims", type=_dim_list, default="2,4")
+    p.add_argument("--bins", type=_int_at_least(1), default=30)
     p.add_argument("--restarts", type=int, help=argparse.SUPPRESS)  # deprecated, ignored
     p.add_argument("--du-column", choices=("dispatcher", "lb1"), default="dispatcher")
     p.add_argument("--out", help="CSV output base path (one file per env dim)")

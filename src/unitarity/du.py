@@ -4,33 +4,37 @@ DU is the maximal process fidelity between the channel and any unitary:
 max_U sum_k |tr(U† E_k)|^2 / n^2. It ranges from 1/n^2 (maximal
 depolarizing) to 1 (unitary channel).
 
-Four routes are implemented:
+There is one pipeline, :func:`_du_stack`. It takes a (B, K, n, n) stack of
+Kraus sets with one generator per channel and runs each stage once over
+the whole stack:
 
-* exact value for channels whose canonical Kraus operators are proportional
-  to pairwise-orthogonal unitaries (max_k |alpha_k|^2 with witness U_k);
-* exact value for every qubit channel, evaluated over a stack of channels
-  at once. A qubit unitary is a phase times x0 I + i x.sigma with x a real
-  unit 4-vector, so the objective is x^T A x for a real symmetric PSD 4x4
-  matrix A, and DU = lambda_max(A) / 4 with the top eigenvector as
-  witness. The bulk samplers (:mod:`unitarity.harness`) use it;
-* certified lower/upper bounds from the singular values of the canonical
-  operators and the polar-decomposition nearest unitaries;
-* a fixed-point ascent over the unitary group. The objective
-  f(U) = sum_k |<U, E_k>|^2 is a PSD quadratic form in U, so linearizing at
-  U and projecting the gradient back to the unitary manifold
-  (U <- polar(sum_k tr(E_k† U) E_k)) is monotonically non-decreasing. The
-  ascent runs from Haar-random restarts plus the two bound witnesses as
-  warm starts, which also guarantees the result never falls below the
-  lower bounds.
+1. the canonical orthogonal Kraus form (one batched ``eigh``);
+2. certified lower/upper bounds from the singular values of the canonical
+   operators and the polar-decomposition nearest unitaries;
+3. the exact value for channels whose canonical operators are all
+   proportional to unitaries (max_k |alpha_k|^2 with witness U_k);
+4. the exact value for every other qubit channel. A qubit unitary is a
+   phase times x0 I + i x.sigma with x a real unit 4-vector, so the
+   objective is x^T A x for a real symmetric PSD 4x4 matrix A, and
+   DU = lambda_max(A) / 4 with the top eigenvector as witness;
+5. a fixed-point ascent over the unitary group for every other channel.
+   The objective f(U) = sum_k |<U, E_k>|^2 is a PSD quadratic form in U,
+   so linearizing at U and projecting the gradient back to the unitary
+   manifold (U <- polar(sum_k tr(E_k† U) E_k)) is monotonically
+   non-decreasing. The ascent runs from Haar-random restarts plus the two
+   bound witnesses as warm starts, which also guarantees the result never
+   falls below the lower bounds.
 
-The dispatcher :func:`du` picks the mixed-unitary exact path when
-available, otherwise the optimizer (qubit channels included), and always
-attaches the bound report.
+The public functions are batches of one: :func:`du` is the whole
+pipeline, :func:`du_bounds` stage 2 and :func:`du_optimize` stages 1, 2
+and 5 (the reference the exact routes are tested against). The bulk
+samplers of :mod:`unitarity.harness` feed the pipeline a chunk at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,13 +46,14 @@ from .channels import (
     CanonicalKraus,
     KrausChannel,
     MixedUnitaryForm,
-    as_mixed_unitary,
-    canonicalize,
+    _canonical_stack,
+    _unitary_multiples,
     require_trace_preserving,
 )
-from .linalg import ginibre_stack, haar_from_ginibre, polar
+from .linalg import ginibre_stack, haar_from_ginibre
 
 EXACT_METHOD = "exact_mixed_unitary"
+QUBIT_METHOD = "exact_qubit"
 OPTIMIZER_METHOD = "numerical_optimizer"
 
 # Orthogonality tolerance on |<U_i, U_k>| for the exact path hypothesis.
@@ -73,7 +78,7 @@ class DuResult:
     """Best available DU value with the (near-)maximizing unitary witness.
 
     ``iterations`` is the winning start's own sweep count (0 on the exact
-    path), and ``objective_trace``, when requested, that start's objective
+    routes), and ``objective_trace``, when requested, that start's objective
     before and after each sweep.
     """
 
@@ -89,10 +94,11 @@ class DuResult:
 class BoundReport:
     """Certified DU bounds from the canonical Kraus singular values.
 
-    lb1 uses the polar unitary of the operator with the largest Frobenius
-    norm, lb2 the one with the largest nuclear norm (ties break to the
-    lowest canonical index). lb1_simplified keeps only the leading
-    operator's own contribution, (sum_j sigma_1j)^2 / n^2. The upper bound
+    lb1 uses the polar unitary of the leading canonical operator (the
+    largest weight, which is its squared Frobenius norm), lb2 the one with
+    the largest nuclear norm (ties break to the lowest canonical index).
+    lb1_simplified keeps only the leading operator's own contribution,
+    (sum_j sigma_1j)^2 / n^2. The upper bound
     sum_i (sum_j sigma_ij)^2 / n^2 never exceeds 1 for a trace-preserving
     channel.
     """
@@ -132,30 +138,58 @@ def du_exact_mixed_unitary(mu: MixedUnitaryForm) -> DuResult:
     )
 
 
+class _BoundStack(NamedTuple):
+    """The bound stage over a stack of B canonical Kraus sets."""
+
+    singular_values: np.ndarray  # (B, K, n)
+    lb1: np.ndarray
+    lb1_simplified: np.ndarray
+    lb2: np.ndarray
+    ub: np.ndarray
+    witnesses: np.ndarray  # (B, 2, n, n): the lb1 then the lb2 witness
+
+
+def _bound_report(s, i: int) -> BoundReport:
+    """Channel i of a :class:`_BoundStack` or :class:`_DuStack`."""
+    return BoundReport(
+        lb1=float(s.lb1[i]),
+        lb1_simplified=float(s.lb1_simplified[i]),
+        lb2=float(s.lb2[i]),
+        ub=float(s.ub[i]),
+        singular_values=tuple(sv.copy() for sv in s.singular_values[i]),
+        witness_lb1=s.witnesses[i, 0],
+        witness_lb2=s.witnesses[i, 1],
+    )
+
+
+def _polar_unitary_stack(a: np.ndarray) -> np.ndarray:
+    """Unitary polar factors of a stack of square matrices."""
+    u, _, vh = np.linalg.svd(a)
+    return u @ vh
+
+
+def _bound_stack(ops: np.ndarray) -> _BoundStack:
+    """Bounds of a (B, K, n, n) stack of canonical operators: one batched
+    SVD and one stacked polar of both witnesses."""
+    n = ops.shape[-1]
+    svals = np.linalg.svd(ops, compute_uv=False)
+    nuc = svals.sum(axis=-1)
+    lead = np.stack([ops[:, 0], ops[np.arange(len(ops)), np.argmax(nuc, axis=1)]], axis=1)
+    w = _polar_unitary_stack(lead)
+    lb = (np.abs(np.einsum("bkij,bwij->bwk", ops.conj(), w)) ** 2).sum(axis=-1) / n**2
+    return _BoundStack(
+        singular_values=svals,
+        lb1=lb[:, 0],
+        lb1_simplified=nuc[:, 0] ** 2 / n**2,
+        lb2=lb[:, 1],
+        ub=(nuc**2).sum(axis=1) / n**2,
+        witnesses=w,
+    )
+
+
 def du_bounds(ck: CanonicalKraus) -> BoundReport:
     """Lower and upper DU bounds for a canonical (orthogonal) Kraus set."""
-    n = ck.dim
-    ops = np.stack(ck.ops)
-    svals = np.linalg.svd(ops, compute_uv=False)
-    fro2 = (svals**2).sum(axis=1)
-    nuc = svals.sum(axis=1)
-    i_fro = int(np.argmax(fro2))
-    i_nuc = int(np.argmax(nuc))
-    w1 = polar(ops[i_fro]).unitary
-    w0 = polar(ops[i_nuc]).unitary
-    lb1 = float(np.sum(np.abs([np.vdot(w1, op) for op in ops]) ** 2)) / n**2
-    lb2 = float(np.sum(np.abs([np.vdot(w0, op) for op in ops]) ** 2)) / n**2
-    lb1_simplified = float(nuc[i_fro] ** 2) / n**2
-    ub = float(np.sum(nuc**2)) / n**2
-    return BoundReport(
-        lb1=lb1,
-        lb1_simplified=lb1_simplified,
-        lb2=lb2,
-        ub=ub,
-        singular_values=tuple(svals[i].copy() for i in range(len(ck.ops))),
-        witness_lb1=w1,
-        witness_lb2=w0,
-    )
+    return _bound_report(_bound_stack(np.stack(ck.ops)[None]), 0)
 
 
 # Every qubit unitary is a phase times sum_p x_p _QUBIT_BASIS[p] with x a
@@ -178,85 +212,68 @@ def _qubit_du_stack(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[:, -1] / 4.0, witnesses
 
 
-def _polar_unitary_stack(a: np.ndarray) -> np.ndarray:
-    """Unitary polar factors of a stack of square matrices."""
-    u, _, vh = np.linalg.svd(a)
-    return u @ vh
-
-
 def _ascend(
     ops: np.ndarray,
-    starts: np.ndarray,
+    warm: np.ndarray,
+    rngs,
+    restarts: int,
     tol: float,
     max_iter: int,
     want_trace: bool,
 ):
-    """Fixed-point ascent from a stack of unitary starts.
+    """Fixed-point ascent of each channel of an (A, K, n, n) canonical stack.
 
-    Returns (objectives, unitaries, sweeps, converged_flags, traces).
-    Objectives are the raw f(U) = sum_k |<U, F_k>|^2 values; ``sweeps``
-    counts each start's own sweeps until it converged or the cap stopped it,
-    so a start's trace has sweeps + 1 entries. An ascent step
-    that decreases the objective beyond floating-point noise indicates a
-    broken update and raises ArithmeticError.
+    Each channel starts from its warm starts ``warm`` (A, W, n, n) plus
+    ``restarts`` Haar unitaries that its generator draws as one stack. Each
+    start retires on its own once its objective improves by less than
+    ``tol`` in a sweep, and only the starts still ascending are
+    polar-decomposed. Returns, for each channel's best start, its DU, its
+    unitary, its own sweep count, whether it converged before the cap, and
+    with ``want_trace`` its raw objectives f(U) = sum_k |<U, F_k>|^2 before
+    and after each sweep. An ascent step that decreases the objective
+    beyond floating-point noise indicates a broken update and raises
+    ArithmeticError.
     """
-    u = starts.copy()
-    ov = np.einsum("kij,sij->sk", ops.conj(), u)
-    f = (np.abs(ov) ** 2).sum(axis=1)
-    n_starts = u.shape[0]
-    converged = np.zeros(n_starts, dtype=bool)
-    sweeps = np.zeros(n_starts, dtype=int)
-    iterations = 0
+    n = ops.shape[-1]
+    u = np.concatenate([warm, haar_from_ginibre(ginibre_stack(n, rngs, restarts))], axis=1)
+    a, p = u.shape[:2]
+    u = u.reshape(a, p, n * n)
+    flat = ops.reshape(a, -1, n * n)
+    flat_h = np.ascontiguousarray(flat.conj().transpose(0, 2, 1))
+    ov = u @ flat_h
+    f = (np.abs(ov) ** 2).sum(axis=-1).ravel()
+    sweeps = np.zeros(a * p, dtype=int)
+    active = np.ones(a * p, dtype=bool)
     traces = [[float(v)] for v in f] if want_trace else None
-    active = np.arange(n_starts)
-    while active.size and iterations < max_iter:
-        g = np.einsum("sk,kij->sij", ov[active], ops)
-        u_new = _polar_unitary_stack(g)
-        ov_new = np.einsum("kij,sij->sk", ops.conj(), u_new)
-        f_new = (np.abs(ov_new) ** 2).sum(axis=1)
-        delta = f_new - f[active]
-        if np.any(delta < -1e-10 * np.maximum(1.0, f[active])):
+    iterations = 0
+    while active.any() and iterations < max_iter:
+        idx = np.flatnonzero(active)
+        by_channel = active.reshape(a, p)
+        ascending = by_channel.any(axis=1)
+        live = slice(None) if ascending.all() else np.flatnonzero(ascending)
+        act = by_channel[live]
+        g = (ov[live] @ flat[live])[act]
+        u.reshape(-1, n * n)[idx] = _polar_unitary_stack(g.reshape(-1, n, n)).reshape(-1, n * n)
+        ov[live] = ov_live = u[live] @ flat_h[live]
+        f_new = (np.abs(ov_live[act]) ** 2).sum(axis=-1)
+        f_old = f[idx]
+        delta = f_new - f_old
+        if np.any(delta < -1e-10 * np.maximum(1.0, f_old)):
             raise ArithmeticError("ascent step decreased the objective")
-        u[active] = u_new
-        ov[active] = ov_new
-        f[active] = f_new
-        if want_trace:
-            for idx, val in zip(active, f_new):
-                traces[idx].append(float(val))
+        f[idx] = f_new
         iterations += 1
-        sweeps[active] = iterations
-        done = np.abs(delta) < tol
-        converged[active[done]] = True
-        active = active[~done]
-    return f, u, sweeps, converged, traces
-
-
-def _optimize_canonical(
-    ck: CanonicalKraus,
-    restarts: int,
-    rng: np.random.Generator,
-    bounds: BoundReport,
-    tol: float,
-    max_iter: int,
-    trace: bool,
-) -> DuResult:
-    n = ck.dim
-    ops = np.stack(ck.ops)
-    starts = np.concatenate(
-        [
-            np.stack([bounds.witness_lb1, bounds.witness_lb2]),
-            haar_from_ginibre(ginibre_stack(n, [rng], restarts))[0],
-        ]
-    )
-    f, u, sweeps, converged, traces = _ascend(ops, starts, tol, max_iter, trace)
-    best = int(np.argmax(f))
-    return DuResult(
-        value=float(f[best]) / n**2,
-        method=OPTIMIZER_METHOD,
-        witness=np.ascontiguousarray(u[best]),
-        iterations=int(sweeps[best]),
-        converged=bool(converged[best]),
-        objective_trace=tuple(traces[best]) if trace else None,
+        sweeps[idx] = iterations
+        active[idx[np.abs(delta) < tol]] = False
+        if want_trace:
+            for i, val in zip(idx, f_new):
+                traces[i].append(float(val))
+    best = np.argmax(f.reshape(a, p), axis=1) + p * np.arange(a)
+    return (
+        f[best] / n**2,
+        u.reshape(-1, n, n)[best],
+        sweeps[best],
+        ~active[best],
+        [traces[i] for i in best] if want_trace else None,
     )
 
 
@@ -275,6 +292,8 @@ def du_optimize(
     warm starts; a start is converged when its objective improves by less
     than ``tol`` in a sweep. ``converged`` reports the best run's own flag.
     With ``trace=True`` the best run's objective sequence is attached.
+    Takes the ascent for every channel, so it is the reference for the
+    exact routes.
 
     ``rng`` defaults to a fixed-seed generator so repeated calls are
     deterministic.
@@ -282,9 +301,79 @@ def du_optimize(
     require_trace_preserving(ch)
     if rng is None:
         rng = np.random.default_rng(0)
-    ck = canonicalize(ch)
-    bounds = du_bounds(ck)
-    return _optimize_canonical(ck, restarts, rng, bounds, tol, max_iter, trace)
+    _, ops, _ = _canonical_stack(np.stack(ch.kraus)[None])
+    value, witness, sweeps, converged, traces = _ascend(
+        ops, _bound_stack(ops).witnesses, [rng], restarts, tol, max_iter, trace
+    )
+    return DuResult(
+        value=float(value[0]),
+        method=OPTIMIZER_METHOD,
+        witness=np.ascontiguousarray(witness[0]),
+        iterations=int(sweeps[0]),
+        converged=bool(converged[0]),
+        objective_trace=tuple(traces[0]) if trace else None,
+    )
+
+
+class _DuStack(NamedTuple):
+    """Results of :func:`_du_stack`, one entry per channel; the bound
+    fields are those of :class:`_BoundStack`."""
+
+    du: np.ndarray
+    witness: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    exact: np.ndarray  # took the exact mixed-unitary route
+    singular_values: np.ndarray
+    lb1: np.ndarray
+    lb1_simplified: np.ndarray
+    lb2: np.ndarray
+    ub: np.ndarray
+    witnesses: np.ndarray
+
+
+def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
+    """DU with its bounds for a (B, K, n, n) stack of trace-preserving
+    Kraus sets, one generator per channel.
+
+    Every stage runs on the whole stack: canonical form, bounds, the exact
+    mixed-unitary test, the exact qubit kernel for the other qubit
+    channels, and for the other channels of dimension 3 and up the ascent,
+    whose Haar restarts each channel's generator draws after its channel.
+    Raises ArithmeticError when a value escapes its bounds by more than
+    BOUND_SLACK.
+    """
+    n = kraus.shape[-1]
+    weights, ops, _ = _canonical_stack(kraus)
+    bounds = _bound_stack(ops)
+    ok, c = _unitary_multiples(ops)
+    exact = ok.all(axis=1)
+
+    value = np.empty(len(ops))
+    witness = np.empty((len(ops), n, n), dtype=np.complex128)
+    iterations = np.zeros(len(ops), dtype=int)
+    converged = np.ones(len(ops), dtype=bool)
+    # the leading operator has the largest weight, |alpha_0|^2 = weight / n
+    value[exact] = weights[exact, 0] / n
+    witness[exact] = ops[exact, 0] / np.sqrt(c[exact, 0])[:, None, None]
+
+    todo = np.flatnonzero(~exact)
+    if todo.size and n == 2:
+        value[todo], witness[todo] = _qubit_du_stack(ops[todo])
+    elif todo.size:
+        value[todo], witness[todo], iterations[todo], converged[todo], _ = _ascend(
+            ops[todo], bounds.witnesses[todo], [rngs[b] for b in todo], restarts,
+            CONVERGENCE_TOL, MAX_ITERATIONS, False,
+        )
+
+    lb = np.maximum(bounds.lb1, bounds.lb2)
+    escaped = np.flatnonzero((value < lb - BOUND_SLACK) | (value > bounds.ub + BOUND_SLACK))
+    if escaped.size:
+        i = escaped[0]
+        raise ArithmeticError(
+            f"DU value {value[i]!r} escapes bounds [{lb[i]!r}, {bounds.ub[i]!r}]"
+        )
+    return _DuStack(value, witness, iterations, converged, exact, **bounds._asdict())
 
 
 def du(
@@ -294,26 +383,22 @@ def du(
 ) -> tuple[DuResult, BoundReport]:
     """Best certified DU of a channel, with its bound report.
 
-    Canonicalizes the channel and takes the exact mixed-unitary path when
-    the canonical operators are proportional to orthogonal unitaries;
-    otherwise falls back to the numerical optimizer. The returned value is
+    The DU core on a stack of one: the exact mixed-unitary route when the
+    canonical operators are proportional to orthogonal unitaries, else the
+    exact qubit kernel for a qubit channel, else the ascent from the bound
+    witnesses and ``restarts`` Haar starts drawn from ``rng``. The value is
     checked against the bounds (lb - 1e-9 <= value <= ub + 1e-9).
     """
     require_trace_preserving(ch)
     if rng is None:
         rng = np.random.default_rng(0)
-    ck = canonicalize(ch)
-    bounds = du_bounds(ck)
-    mu = as_mixed_unitary(ck)
-    if mu is not None:
-        result = du_exact_mixed_unitary(mu)
-    else:
-        result = _optimize_canonical(
-            ck, restarts, rng, bounds, CONVERGENCE_TOL, MAX_ITERATIONS, False
-        )
-    lb = max(bounds.lb1, bounds.lb2)
-    if not (lb - BOUND_SLACK <= result.value <= bounds.ub + BOUND_SLACK):
-        raise ArithmeticError(
-            f"DU value {result.value!r} escapes bounds [{lb!r}, {bounds.ub!r}]"
-        )
-    return result, bounds
+    s = _du_stack(np.stack(ch.kraus)[None], [rng], restarts)
+    method = EXACT_METHOD if s.exact[0] else QUBIT_METHOD if ch.dim == 2 else OPTIMIZER_METHOD
+    result = DuResult(
+        value=float(s.du[0]),
+        method=method,
+        witness=s.witness[0],
+        iterations=int(s.iterations[0]),
+        converged=bool(s.converged[0]),
+    )
+    return result, _bound_report(s, 0)

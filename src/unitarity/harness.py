@@ -2,6 +2,9 @@
 random-channel DU distributions, and the DU-increase non-Markovianity
 witness.
 
+The drivers sample channels and aggregate results; every DU and bound comes
+from the one pipeline in :mod:`unitarity.du`.
+
 All randomized drivers derive one integer seed per attempt from the master
 seed (SeedSequence spawn keys), so results are bit-reproducible for a given
 master seed regardless of chunking, and any single sampled channel can be
@@ -9,19 +12,12 @@ regenerated from the seed stored in its record.
 
 Sampling is batched over a chunk: each seed gets its own generator, every
 generator draws its Ginibre entries in one call, and one QR factors the
-whole chunk's dilation unitaries (the ascent's restart unitaries likewise,
-drawn after their channel). This is the same path :func:`unitarity.random_channel`
-takes as a batch of one, so
-``random_channel(n, d, np.random.default_rng(record.seed))`` regenerates a
-record's channel bit for bit.
-
-The samplers evaluate channels through a vectorized bulk pipeline that
-follows the per-channel dispatcher :func:`unitarity.du.du`: the same
-canonicalization, bounds and exact mixed-unitary path, and for systems of
-dimension 3 and up a lockstep ascent from the same warm starts. Every other
-qubit channel takes the exact qubit kernel of :mod:`unitarity.du` instead
-of the dispatcher's ascent, which stops within about 1e-12 of the same
-optimum. The test suite pins the agreement to 1e-9.
+whole chunk's dilation unitaries. The chunk's Kraus stack then goes through
+the DU pipeline in one call, in which a channel that takes the ascent draws
+its restart unitaries from its own generator, after its channel. This is
+what :func:`unitarity.random_channel` followed by :func:`unitarity.du`
+does for a batch of one, so a record's seed regenerates its channel bit
+for bit, and ``du(channel, restarts, rng)`` with that generator its value.
 """
 
 from __future__ import annotations
@@ -31,21 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    PROPORTIONALITY_TOL,
-    KrausChannel,
-    _dilation_kraus_stack,
-    standard_channel,
-)
-from .du import (
-    BOUND_SLACK,
-    CONVERGENCE_TOL,
-    MAX_ITERATIONS,
-    _polar_unitary_stack,
-    _qubit_du_stack,
-    du,
-)
-from .linalg import RANK_CUTOFF, ginibre_stack, haar_from_ginibre
+from .channels import KrausChannel, _dilation_kraus_stack, standard_channel
+from .du import _du_stack, _DuStack, du
 
 CHANNEL_FAMILIES = ("depolarizing", "bit_flip", "phase_flip", "amplitude_damping")
 
@@ -115,146 +98,22 @@ def attempt_seed(master: int, key: tuple[int, ...]) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True, eq=False)
-class _BulkResult:
-    du: np.ndarray
-    lb1: np.ndarray
-    lb2: np.ndarray
-    lb1_simplified: np.ndarray
-    ub: np.ndarray
-    converged: np.ndarray
-    exact: np.ndarray
-
-
-def _ascend_bulk(ops: np.ndarray, starts: np.ndarray, tol: float, max_iter: int):
-    """Lockstep fixed-point ascent over a batch of channels.
-
-    ops has shape (B, K, n, n) and starts (B, S, n, n). A channel leaves the
-    active set once all of its starts improve by less than ``tol`` in one
-    sweep. Returns per-channel best objective, iteration count and a flag
-    for whether the best start converged.
-    """
-    n_batch = ops.shape[0]
-    out_f = np.empty(n_batch)
-    out_iters = np.zeros(n_batch, dtype=int)
-    out_conv = np.zeros(n_batch, dtype=bool)
-
-    idx = np.arange(n_batch)
-    ops_a = ops
-    u_a = starts
-    ov_a = np.einsum("bkij,bsij->bsk", ops_a.conj(), u_a)
-    f_a = (np.abs(ov_a) ** 2).sum(axis=-1)
-    it = 0
-    while idx.size and it < max_iter:
-        g = np.einsum("bsk,bkij->bsij", ov_a, ops_a)
-        shape = g.shape
-        u_a = _polar_unitary_stack(g.reshape(-1, shape[-2], shape[-1])).reshape(shape)
-        ov_a = np.einsum("bkij,bsij->bsk", ops_a.conj(), u_a)
-        f_new = (np.abs(ov_a) ** 2).sum(axis=-1)
-        delta = f_new - f_a
-        if np.any(delta < -1e-10 * np.maximum(1.0, f_a)):
-            raise ArithmeticError("ascent step decreased the objective")
-        f_a = f_new
-        it += 1
-        done = (np.abs(delta) < tol).all(axis=1)
-        if done.any():
-            fin = idx[done]
-            out_f[fin] = f_a[done].max(axis=1)
-            out_iters[fin] = it
-            out_conv[fin] = True
-            keep = ~done
-            idx = idx[keep]
-            ops_a = ops_a[keep]
-            u_a = u_a[keep]
-            ov_a = ov_a[keep]
-            f_a = f_a[keep]
-    if idx.size:
-        # iteration cap reached; report best objectives, flag non-convergence
-        out_f[idx] = f_a.max(axis=1)
-        out_iters[idx] = it
-        out_conv[idx] = False
-    return out_f, out_iters, out_conv
-
-
 def _evaluate_dilation_batch(
     sys_dim: int,
     env_dim: int,
     seeds,
     restarts: int,
     env_state=None,
-    tol: float = CONVERGENCE_TOL,
-    max_iter: int = MAX_ITERATIONS,
-) -> _BulkResult:
+) -> _DuStack:
     """Sample one Haar-dilation channel per seed and evaluate DU + bounds.
 
-    The channels are drawn as one Kraus stack. For systems of dimension 3
-    and up, the generator of each channel that takes the ascent then draws
-    its ``restarts`` Haar starts, all of them factored as one stack.
-    Follows the dispatcher: canonical form, bound report, exact path when
-    every canonical operator is proportional to a unitary, the exact qubit
-    kernel for the other qubit channels, and otherwise a fixed-point
-    ascent from the bound witnesses plus ``restarts`` Haar starts.
+    Each seed gets its own generator; the channels are drawn as one Kraus
+    stack and evaluated by the DU core of :mod:`unitarity.du`, where a
+    channel that takes the ascent draws its ``restarts`` Haar starts from
+    the same generator.
     """
-    n, d = sys_dim, env_dim
-    n_batch = len(seeds)
     rngs = [np.random.default_rng(s) for s in seeds]
-    ops = _dilation_kraus_stack(n, d, rngs, env_state)
-
-    # canonical form, batched over channels
-    vecs_flat = ops.reshape(n_batch, d, n * n)
-    corr = np.einsum("bjx,bkx->bjk", vecs_flat.conj(), vecs_flat)
-    weights, mix = np.linalg.eigh(corr)
-    weights = weights[:, ::-1]
-    mix = mix[:, :, ::-1]
-    f_ops = np.einsum("bji,bjxy->bixy", mix, ops)
-
-    svals = np.linalg.svd(f_ops, compute_uv=False)
-    nuc = svals.sum(axis=-1)
-    i_nuc = np.argmax(nuc, axis=1)
-    rows = np.arange(n_batch)
-    w1 = _polar_unitary_stack(f_ops[:, 0])
-    w0 = _polar_unitary_stack(f_ops[rows, i_nuc])
-    lb1 = (np.abs(np.einsum("bkij,bij->bk", f_ops.conj(), w1)) ** 2).sum(axis=1) / n**2
-    lb2 = (np.abs(np.einsum("bkij,bij->bk", f_ops.conj(), w0)) ** 2).sum(axis=1) / n**2
-    lb1_simplified = nuc[:, 0] ** 2 / n**2
-    ub = (nuc**2).sum(axis=1) / n**2
-
-    # exact path detection: F† F proportional to I for every retained operator
-    gram = np.einsum("bkli,bklj->bkij", f_ops.conj(), f_ops)
-    c = np.einsum("bkii->bk", gram).real / n
-    dev = np.linalg.norm(gram - c[..., None, None] * np.eye(n), axis=(-2, -1))
-    op_ok = (weights <= RANK_CUTOFF) | (dev <= PROPORTIONALITY_TOL * np.maximum(1.0, c * n))
-    exact = op_ok.all(axis=1)
-
-    values = np.empty(n_batch)
-    converged = np.ones(n_batch, dtype=bool)
-    values[exact] = weights[exact, 0] / n
-
-    todo = np.flatnonzero(~exact)
-    if todo.size and n == 2:
-        values[todo] = _qubit_du_stack(f_ops[todo])[0]
-    elif todo.size:
-        n_starts = restarts + 2
-        starts = np.empty((todo.size, n_starts, n, n), dtype=np.complex128)
-        starts[:, 0] = w1[todo]
-        starts[:, 1] = w0[todo]
-        starts[:, 2:] = haar_from_ginibre(ginibre_stack(n, [rngs[b] for b in todo], restarts))
-        f_best, _, conv = _ascend_bulk(f_ops[todo], starts, tol, max_iter)
-        values[todo] = f_best / n**2
-        converged[todo] = conv
-
-    lb = np.maximum(lb1, lb2)
-    if np.any(values < lb - BOUND_SLACK) or np.any(values > ub + BOUND_SLACK):
-        raise ArithmeticError("bulk DU value escaped its certified bounds")
-    return _BulkResult(
-        du=values,
-        lb1=lb1,
-        lb2=lb2,
-        lb1_simplified=lb1_simplified,
-        ub=ub,
-        converged=converged,
-        exact=exact,
-    )
+    return _du_stack(_dilation_kraus_stack(sys_dim, env_dim, rngs, env_state), rngs, restarts)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +235,7 @@ def run_tightness(
     )
 
 
-def _record(bulk: _BulkResult, i: int, seed_i: int) -> TightnessRecord:
+def _record(bulk: _DuStack, i: int, seed_i: int) -> TightnessRecord:
     value = float(bulk.du[i])
     lb1 = float(bulk.lb1[i])
     lb2 = float(bulk.lb2[i])

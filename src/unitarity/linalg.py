@@ -44,11 +44,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def frobenius(a) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
-
-
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product tr(a† b)."""
     a = as_matrix(a)

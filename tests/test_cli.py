@@ -62,7 +62,7 @@ class TestDuCommand:
         assert main(["du", ad_file, "--json", "--restarts", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == pytest.approx(0.81, abs=1e-9)
-        assert payload["method"] == "numerical_optimizer"
+        assert payload["method"] == "exact_qubit"
         assert payload["lb1"] == pytest.approx(0.81, abs=1e-12)
         assert payload["ub"] == pytest.approx(0.90, abs=1e-12)
         w = np.asarray(payload["witness"])
@@ -140,6 +140,39 @@ class TestRandomizedCommands:
         assert lines[1].endswith("samples=30 nonconverged=0 exact=30")
         assert lines[2].startswith("env_dim=2: ")
         assert lines[2].endswith("samples=30 nonconverged=0 exact=0")
+
+
+class TestArgumentRanges:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["table1", "--grid", "0"], "--grid"),
+            (["tightness", "--samples", "0", "--seed", "1"], "--samples"),
+            (["distribution", "--samples", "0", "--seed", "1"], "--samples"),
+            (["tightness", "--samples", "5", "--seed", "1", "--env-dim", "0"], "--env-dim"),
+            (["tightness", "--samples", "5", "--seed", "1", "--stratified",
+              "--attempt-cap", "0"], "--attempt-cap"),
+            (["distribution", "--samples", "5", "--seed", "1", "--bins", "0"], "--bins"),
+            (["distribution", "--samples", "5", "--seed", "1", "--env-dims", "2,0"],
+             "--env-dims"),
+            (["du", "channel.json", "--restarts", "-1"], "--restarts"),
+        ],
+        ids=["grid", "tightness-samples", "distribution-samples", "env-dim",
+             "attempt-cap", "bins", "env-dims", "du-restarts"],
+    )
+    def test_out_of_range_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: unitarity")
+        assert f"argument {flag}: must be >=" in err
+
+    def test_lower_limits_accepted(self, ad_file, capsys):
+        assert main(["du", ad_file, "--restarts", "0"]) == 0
+        assert main(["table1", "--grid", "1"]) == 0
+        assert main(["distribution", "--samples", "1", "--seed", "1", "--env-dims", "1",
+                     "--bins", "1"]) == 0
 
 
 class TestDeprecatedRestarts:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitarity import (
     OrthogonalityError,
@@ -19,7 +21,7 @@ from unitarity import (
     unitary_channel,
 )
 from unitarity.channels import PAULI_X, PAULI_Y, PAULI_Z, KrausChannel
-from unitarity.du import _qubit_du_stack
+from unitarity.du import _du_stack, _qubit_du_stack
 
 from helpers import qubit_du_oracle, random_mixed_unitary_channel, remix_kraus
 
@@ -189,7 +191,7 @@ class TestDispatcher:
 
     def test_amplitude_damping(self):
         res, rep = du(standard_channel("amplitude_damping", 0.36), restarts=8)
-        assert res.method == "numerical_optimizer"
+        assert res.method == "exact_qubit"
         assert res.value == pytest.approx(0.81, abs=1e-9)
         assert rep.lb1 == pytest.approx(0.81, abs=1e-12)
         assert rep.ub == pytest.approx(0.90, abs=1e-12)
@@ -265,7 +267,7 @@ class TestPauliChannelEdge:
             ),
         )
         res, rep = du(ch, restarts=8)
-        assert res.method == "numerical_optimizer"
+        assert res.method == "exact_qubit"
         assert res.value == pytest.approx(0.5, abs=1e-9)
         assert rep.ub == pytest.approx(0.5, abs=1e-12)
 
@@ -334,3 +336,65 @@ class TestQubitExact:
         # fully depolarizing has a fourfold degenerate top eigenvalue
         value = self.check(ch, np.random.default_rng(17))
         assert value == pytest.approx(want, abs=1e-9)
+
+
+def _dilation_stack(n, d, seed, count):
+    """Kraus stack (count, d, n, n) of Haar-dilation channels."""
+    rng = np.random.default_rng(seed)
+    return np.stack([np.stack(random_channel(n, d, rng).kraus) for _ in range(count)])
+
+
+def _core(kraus, seed, restarts=8):
+    """The DU core on a stack, channel i restarting from generator [seed, i]."""
+    rngs = [np.random.default_rng([seed, i]) for i in range(len(kraus))]
+    return _du_stack(kraus, rngs, restarts)
+
+
+CORE_CASES = dict(
+    n=st.integers(2, 5),
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestCoreProperties:
+    """Properties of the batched DU core over dimensions 2 to 5: the exact
+    routes (d = 1 gives unitary channels), the qubit kernel and the ascent."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(count=st.integers(2, 4), **CORE_CASES)
+    def test_stack_matches_stacks_of_one(self, n, d, seed, count):
+        kraus = _dilation_stack(n, d, seed, count)
+        stack = _core(kraus, seed, restarts=2)
+        for i in range(count):
+            alone = _du_stack(kraus[i : i + 1], [np.random.default_rng([seed, i])], 2)
+            for field in ("du", "lb1", "lb2", "ub"):
+                assert getattr(alone, field)[0] == getattr(stack, field)[i]
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(**CORE_CASES)
+    def test_invariant_under_remixing_and_unitary_composition(self, n, d, seed):
+        kraus = _dilation_stack(n, d, seed, 1)[0]
+        rng = np.random.default_rng([seed, 1])
+        v = haar_unitary(d, rng)
+        pre, post = haar_unitary(n, rng), haar_unitary(n, rng)
+        variants = np.stack([
+            kraus,
+            np.einsum("mk,kij->mij", v, kraus),
+            kraus @ pre,
+            post @ kraus,
+        ])
+        values = _core(variants, seed).du
+        assert np.ptp(values) <= 1e-9
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(**CORE_CASES)
+    def test_range_sandwich_and_witness(self, n, d, seed):
+        kraus = _dilation_stack(n, d, seed, 3)
+        s = _core(kraus, seed)
+        assert np.all(s.du >= 1 / n**2 - 1e-9)
+        assert np.all(s.du <= 1 + 1e-9)
+        assert np.all(np.maximum(s.lb1, s.lb2) - 1e-9 <= s.du)
+        assert np.all(s.du <= s.ub + 1e-9)
+        for ops, value, w in zip(kraus, s.du, s.witness):
+            assert abs(process_fidelity(KrausChannel(n, tuple(ops)), w) - value) <= 1e-9

@@ -55,7 +55,7 @@ class TestTable1:
         report = run_table1(grid=5, restarts=4)
         for row in report.rows:
             if row.family == "amplitude_damping" and 0.0 < row.param:
-                assert row.method == "numerical_optimizer"
+                assert row.method == "exact_qubit"
             else:
                 assert row.method == "exact_mixed_unitary"
 
@@ -161,6 +161,16 @@ class TestTightness:
             assert res.value == pytest.approx(r.du_value, abs=1e-9)
             assert bounds.lb1 == pytest.approx(r.lb1, abs=1e-12)
             assert bounds.ub == pytest.approx(r.ub, abs=1e-12)
+
+    @pytest.mark.parametrize("sys_dim, env_dim", [(2, 4), (3, 2)])
+    def test_record_is_du_of_its_regenerated_channel(self, sys_dim, env_dim):
+        # the samplers and du() run the same pipeline, so a record is what
+        # du() returns on the seed's channel and generator, bit for bit
+        result = run_tightness(samples=8, sys_dim=sys_dim, env_dim=env_dim, seed=9, restarts=2)
+        for r in result.records:
+            rng = np.random.default_rng(r.seed)
+            res, bounds = du(random_channel(sys_dim, env_dim, rng), restarts=2, rng=rng)
+            assert (res.value, bounds.lb1, bounds.lb2, bounds.ub) == (r.du_value, r.lb1, r.lb2, r.ub)
 
     def test_counts_exact_and_nonconverged(self):
         unitary = run_tightness(samples=20, env_dim=1, seed=5)
