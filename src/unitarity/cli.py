@@ -17,7 +17,6 @@ from . import __version__
 from .channels import ChannelValidationError, canonicalize, require_trace_preserving, validate
 from .du import du, du_bounds
 from .harness import (
-    Trajectory,
     run_distribution,
     run_table1,
     run_tightness,
@@ -43,9 +42,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_du(args) -> int:
-    ch = load_channel(args.channel)
-    require_trace_preserving(ch)
-    result, bounds = du(ch, restarts=args.restarts)
+    result, bounds = du(load_channel(args.channel), restarts=args.restarts)
     if args.json:
         payload = {
             "value": result.value,
@@ -156,9 +153,7 @@ def _cmd_distribution(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    times, channels = load_trajectory(args.trajectory)
-    traj = Trajectory(times=tuple(times), channels=tuple(channels))
-    report = run_witness(traj, threshold=args.threshold)
+    report = run_witness(load_trajectory(args.trajectory), threshold=args.threshold)
     for t, v in zip(report.times, report.du_values):
         print(f"t={t:g} du={v:.12g}")
     print(report.verdict)
@@ -177,8 +172,11 @@ def _int_at_least(low: int):
 
 
 def _dim_list(text: str) -> list[int]:
-    """argparse type: comma-separated integers, each at least 1."""
-    return [_int_at_least(1)(tok) for tok in text.split(",") if tok]
+    """argparse type: a nonempty comma-separated list of integers, each at least 1."""
+    dims = [_int_at_least(1)(tok) for tok in text.split(",") if tok]
+    if not dims:
+        raise argparse.ArgumentTypeError("expected at least one dimension")
+    return dims
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tightness", help="bound-tightness study on random channels")
     p.add_argument("--samples", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--stratified", action="store_true")
     p.add_argument("--env-dim", type=_int_at_least(1), default=2)
     p.add_argument("--attempt-cap", type=_int_at_least(1), default=1_000_000)
@@ -222,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distribution", help="DU distribution of random channels")
     p.add_argument("--samples", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--env-dims", type=_dim_list, default="2,4")
     p.add_argument("--bins", type=_int_at_least(1), default=30)
     p.add_argument("--restarts", type=int, help=argparse.SUPPRESS)  # deprecated, ignored
@@ -242,10 +240,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ChannelValidationError as exc:

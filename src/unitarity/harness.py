@@ -5,12 +5,13 @@ witness.
 The drivers sample channels and aggregate results; every DU and bound comes
 from the one pipeline in :mod:`unitarity.du`.
 
-All randomized drivers derive one integer seed per attempt from the master
-seed (SeedSequence spawn keys), so results are bit-reproducible for a given
-master seed regardless of chunking, and any single sampled channel can be
-regenerated from the seed stored in its record.
+Both randomized studies sample through one chunked generator, ``_sample``,
+which gives attempt k under a study's spawn key the integer seed
+``attempt_seed(master, key + (k,))``. Results are therefore bit-reproducible
+for a given master seed regardless of chunking, and any single sampled
+channel can be regenerated from the seed stored in its record.
 
-Sampling is batched over a chunk: each seed gets its own generator, every
+Each chunk is sampled as a batch: each seed gets its own generator, every
 generator draws its Ginibre entries in one call, and one QR factors the
 whole chunk's dilation unitaries. The chunk's Kraus stack then goes through
 the DU pipeline in one call, in which a channel that takes the ascent draws
@@ -116,6 +117,20 @@ def _evaluate_dilation_batch(
     return _du_stack(_dilation_kraus_stack(sys_dim, env_dim, rngs, env_state), rngs, restarts)
 
 
+def _sample(sys_dim: int, env_dim: int, seed: int, key: tuple[int, ...], total: int,
+            chunk: int, restarts: int):
+    """Attempts 0 .. total-1 under spawn key ``key`` of master ``seed``, a
+    chunk at a time: yields each chunk's seeds and its evaluated batch."""
+    for start in range(0, total, chunk):
+        seeds = [attempt_seed(seed, key + (start + i,)) for i in range(min(chunk, total - start))]
+        yield seeds, _evaluate_dilation_batch(sys_dim, env_dim, seeds, restarts)
+
+
+def _tally(bulk: _DuStack, kept=slice(None)) -> np.ndarray:
+    """[non-converged, exact-path] counts over the entries ``kept`` of a batch."""
+    return np.array([np.count_nonzero(~bulk.converged[kept]), np.count_nonzero(bulk.exact[kept])])
+
+
 # ---------------------------------------------------------------------------
 # Bound-tightness study
 # ---------------------------------------------------------------------------
@@ -173,65 +188,49 @@ def run_tightness(
 
     Without stratification, exactly ``samples`` channels are recorded. With
     stratification, rejection sampling fills DU bins of ``bin_width`` over
-    [1/n^2, 1] up to ceil(samples / bins) records each, stopping early when
-    the total attempt budget ``attempt_cap`` runs out; bins still below
-    target are reported in ``underfilled``, never fabricated.
+    [1/n^2, 1] up to ceil(samples / bins) records each. It stops at the
+    attempt that fills the last bin, or when the total attempt budget
+    ``attempt_cap`` runs out; bins still below target are reported in
+    ``underfilled``, never fabricated.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     lo = 1.0 / sys_dim**2
+    if stratified:
+        n_bins = int(round((1.0 - lo) / bin_width))
+        edges = lo + bin_width * np.arange(n_bins + 1)
+        edges[-1] = 1.0
+        target = math.ceil(samples / n_bins)
+        total = attempt_cap
+    else:  # one bin over [1/n^2, 1] that keeps every attempt
+        n_bins, edges, target, total = 1, None, samples, samples
+    counts = [0] * n_bins
     records: list[TightnessRecord] = []
-    nonconverged = 0
-    exact = 0
-
-    if not stratified:
-        for start in range(0, samples, chunk):
-            count = min(chunk, samples - start)
-            seeds = [attempt_seed(seed, (start + i,)) for i in range(count)]
-            bulk = _evaluate_dilation_batch(sys_dim, env_dim, seeds, restarts)
-            for i in range(count):
-                records.append(_record(bulk, i, seeds[i]))
-            nonconverged += int(np.count_nonzero(~bulk.converged))
-            exact += int(np.count_nonzero(bulk.exact))
-        return TightnessResult(
-            records=tuple(records),
-            attempts=samples,
-            master_seed=seed,
-            nonconverged=nonconverged,
-            exact=exact,
-        )
-
-    n_bins = int(round((1.0 - lo) / bin_width))
-    edges = lo + bin_width * np.arange(n_bins + 1)
-    edges[-1] = 1.0
-    target = math.ceil(samples / n_bins)
-    counts = np.zeros(n_bins, dtype=int)
+    tally = np.zeros(2, dtype=int)
     attempts = 0
-    while counts.min() < target and attempts < attempt_cap:
-        count = min(chunk, attempt_cap - attempts)
-        seeds = [attempt_seed(seed, (attempts + i,)) for i in range(count)]
-        bulk = _evaluate_dilation_batch(sys_dim, env_dim, seeds, restarts)
-        for i in range(count):
+    for seeds, bulk in _sample(sys_dim, env_dim, seed, (), total, chunk, restarts):
+        bins = np.minimum(((np.clip(bulk.du, lo, 1.0) - lo) / bin_width).astype(int), n_bins - 1)
+        kept = []
+        for i, b in enumerate(bins.tolist()):
             attempts += 1
-            value = float(np.clip(bulk.du[i], lo, 1.0))
-            b = min(int((value - lo) / bin_width), n_bins - 1)
             if counts[b] < target:
                 counts[b] += 1
-                records.append(_record(bulk, i, seeds[i]))
-                nonconverged += int(not bulk.converged[i])
-                exact += int(bulk.exact[i])
-            if counts.min() >= target:
-                break
-    underfilled = {b: int(counts[b]) for b in range(n_bins) if counts[b] < target}
+                kept.append(i)
+                if min(counts) == target:  # the last bin is full
+                    break
+        records += [_record(bulk, i, seeds[i]) for i in kept]
+        tally += _tally(bulk, kept)
+        if min(counts) == target:
+            break
     return TightnessResult(
         records=tuple(records),
         attempts=attempts,
         master_seed=seed,
         bin_edges=edges,
-        target_per_bin=target,
-        underfilled=underfilled,
-        nonconverged=nonconverged,
-        exact=exact,
+        target_per_bin=target if stratified else None,
+        underfilled={b: c for b, c in enumerate(counts) if c < target} if stratified else None,
+        nonconverged=int(tally[0]),
+        exact=int(tally[1]),
     )
 
 
@@ -307,18 +306,12 @@ def run_distribution(
     lo = 1.0 / sys_dim**2
     out = []
     for j, env_dim in enumerate(env_dims):
-        values = np.empty(samples)
-        lb1s = np.empty(samples)
-        nonconverged = 0
-        exact = 0
-        for start in range(0, samples, chunk):
-            count = min(chunk, samples - start)
-            seeds = [attempt_seed(seed, (j, start + i)) for i in range(count)]
-            bulk = _evaluate_dilation_batch(sys_dim, env_dim, seeds, restarts)
-            values[start : start + count] = bulk.du
-            lb1s[start : start + count] = bulk.lb1
-            nonconverged += int(np.count_nonzero(~bulk.converged))
-            exact += int(np.count_nonzero(bulk.exact))
+        parts = []
+        tally = np.zeros(2, dtype=int)
+        for _, bulk in _sample(sys_dim, env_dim, seed, (j,), samples, chunk, restarts):
+            parts.append((bulk.du, bulk.lb1))
+            tally += _tally(bulk)
+        values, lb1s = map(np.concatenate, zip(*parts))
         binned = values if du_column == "dispatcher" else lb1s
         if binned.min() < lo - 1e-9 or binned.max() > 1.0 + 1e-9:
             raise ArithmeticError("sampled DU escaped the [1/n^2, 1] range")
@@ -333,8 +326,8 @@ def run_distribution(
                 seed=seed,
                 du_column=du_column,
                 mean_lb1=float(lb1s.mean()),
-                nonconverged=nonconverged,
-                exact=exact,
+                nonconverged=int(tally[0]),
+                exact=int(tally[1]),
             )
         )
     return out
@@ -355,7 +348,7 @@ class Trajectory:
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
         if not times:
-            raise ValueError("trajectory needs at least one time point")
+            raise ValueError("expected at least one time point")
         if len(times) != len(self.channels):
             raise ValueError(
                 f"{len(times)} times but {len(self.channels)} channels"

@@ -12,7 +12,7 @@ with kind one of depolarizing, bit_flip, phase_flip, amplitude_damping.
 Complex numbers always serialize as two-element [re, im] arrays.
 
 Trajectory JSON is {"dim": n, "times": [...], "channels": [channel, ...]}
-with one channel object per time point.
+with one channel object per time point, at strictly ascending times.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .channels import STANDARD_KINDS, KrausChannel, standard_channel
+from .harness import Trajectory, sorted_by_du, sorted_by_ub
 
 
 class FormatError(ValueError):
@@ -105,8 +106,8 @@ def save_channel(ch: KrausChannel, path: str) -> None:
         fh.write("\n")
 
 
-def trajectory_from_obj(obj):
-    """Parse {"dim", "times", "channels"} into (times, channels)."""
+def trajectory_from_obj(obj) -> Trajectory:
+    """Parse {"dim", "times", "channels"} into a :class:`Trajectory`."""
     if not isinstance(obj, dict):
         raise FormatError("trajectory: expected a JSON object")
     for key in ("dim", "times", "channels"):
@@ -117,18 +118,19 @@ def trajectory_from_obj(obj):
         times = [float(t) for t in obj["times"]]
     except (TypeError, ValueError):
         raise FormatError("trajectory: 'dim' must be an int and 'times' numeric") from None
+    if not isinstance(obj["channels"], list):
+        raise FormatError("trajectory: 'channels' must be a list")
     channels = [channel_from_obj(c) for c in obj["channels"]]
-    if len(times) != len(channels):
-        raise FormatError(
-            f"trajectory: {len(times)} times but {len(channels)} channels"
-        )
     for ch in channels:
         if ch.dim != dim:
             raise FormatError(f"trajectory: channel dim {ch.dim} != declared dim {dim}")
-    return times, channels
+    try:
+        return Trajectory(times=tuple(times), channels=tuple(channels))
+    except ValueError as exc:
+        raise FormatError(f"trajectory: {exc}") from None
 
 
-def load_trajectory(path: str):
+def load_trajectory(path: str) -> Trajectory:
     return trajectory_from_obj(load_json(path))
 
 
@@ -137,13 +139,9 @@ TIGHTNESS_HEADER = "du,lb1,lb2,lb1_err,lb2_err,ub,seed"
 
 def write_tightness_csv(records: Iterable, path: str, order: str = "du") -> None:
     """Emit tightness records, sorted by 'du' or by 'ub'."""
-    records = list(records)
-    if order == "du":
-        records.sort(key=lambda r: r.du_value)
-    elif order == "ub":
-        records.sort(key=lambda r: r.ub)
-    else:
+    if order not in ("du", "ub"):
         raise ValueError(f"order must be 'du' or 'ub', got {order!r}")
+    records = sorted_by_du(records) if order == "du" else sorted_by_ub(records)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(TIGHTNESS_HEADER + "\n")
         for r in records:

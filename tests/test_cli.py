@@ -156,9 +156,12 @@ class TestArgumentRanges:
             (["distribution", "--samples", "5", "--seed", "1", "--env-dims", "2,0"],
              "--env-dims"),
             (["du", "channel.json", "--restarts", "-1"], "--restarts"),
+            (["tightness", "--samples", "3", "--seed", "-1"], "--seed"),
+            (["distribution", "--samples", "3", "--seed", "-1"], "--seed"),
         ],
         ids=["grid", "tightness-samples", "distribution-samples", "env-dim",
-             "attempt-cap", "bins", "env-dims", "du-restarts"],
+             "attempt-cap", "bins", "env-dims", "du-restarts", "tightness-seed",
+             "distribution-seed"],
     )
     def test_out_of_range_is_a_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -168,9 +171,19 @@ class TestArgumentRanges:
         assert err.startswith("usage: unitarity")
         assert f"argument {flag}: must be >=" in err
 
+    @pytest.mark.parametrize("env_dims", [",", ""], ids=["comma", "empty"])
+    def test_empty_env_dims_is_a_usage_error(self, env_dims, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["distribution", "--samples", "3", "--seed", "1", "--env-dims", env_dims])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: unitarity")
+        assert "argument --env-dims: expected at least one dimension" in err
+
     def test_lower_limits_accepted(self, ad_file, capsys):
         assert main(["du", ad_file, "--restarts", "0"]) == 0
         assert main(["table1", "--grid", "1"]) == 0
+        assert main(["tightness", "--samples", "1", "--seed", "0"]) == 0
         assert main(["distribution", "--samples", "1", "--seed", "1", "--env-dims", "1",
                      "--bins", "1"]) == 0
 
@@ -248,6 +261,23 @@ class TestWitnessCommand:
         path = tmp_path / "traj.json"
         path.write_text(json.dumps({"dim": 2, "times": [0.0], "channels": []}))
         assert main(["witness", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "times, channels, message",
+        [
+            ([1.0, 0.0], [{"standard": "bit_flip", "param": 0.1}] * 2, "strictly ascending"),
+            ([], [], "at least one time point"),
+            ([0.0], 5, "'channels' must be a list"),
+        ],
+        ids=["descending-times", "no-time-points", "channels-not-a-list"],
+    )
+    def test_malformed_trajectory_exit_2(self, tmp_path, capsys, times, channels, message):
+        path = tmp_path / "traj.json"
+        path.write_text(json.dumps({"dim": 2, "times": times, "channels": channels}))
+        assert main(["witness", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trajectory: ")
+        assert message in err
 
 
 class TestChannelJsonRoundTrip:

@@ -113,9 +113,34 @@ class TestTightness:
             assert r.lb1 == pytest.approx(r.du_value - r.lb1_err)
 
     def test_reproducible_and_chunk_invariant(self):
-        a = run_tightness(samples=40, seed=77, chunk=7)
-        b = run_tightness(samples=40, seed=77, chunk=512)
-        assert a.records == b.records
+        stratified = dict(samples=45, seed=13, stratified=True, restarts=2)
+        cases = [
+            (dict(samples=40, seed=77), (7, 512)),
+            (dict(stratified, attempt_cap=4000), (7, 512)),
+            # the cap cuts the last chunk of 64 short
+            (dict(stratified, attempt_cap=300), (64, 512)),
+            # every bin fills before the cap, part-way through a chunk
+            (dict(stratified, attempt_cap=4000, samples=12, env_dim=4, bin_width=0.25),
+             (7, 64, 512)),
+        ]
+        for kwargs, chunks in cases:
+            a, *others = (run_tightness(chunk=c, **kwargs) for c in chunks)
+            for b in others:
+                assert b.records == a.records, kwargs
+                assert (b.attempts, b.underfilled, b.nonconverged, b.exact) == (
+                    a.attempts, a.underfilled, a.nonconverged, a.exact
+                ), kwargs
+
+    def test_stratified_stops_at_the_attempt_that_fills_the_last_bin(self):
+        result = run_tightness(
+            samples=12, env_dim=4, seed=13, stratified=True, bin_width=0.25,
+            attempt_cap=4000, restarts=2, chunk=64,
+        )
+        assert result.underfilled == {}
+        assert len(result.records) == 3 * result.target_per_bin
+        assert result.attempts % 64 != 0  # stopped part-way through a chunk
+        # the last attempt made is the one whose record filled the last bin
+        assert result.records[-1].seed == attempt_seed(13, (result.attempts - 1,))
 
     def test_stratified_fills_reachable_bins(self):
         result = run_tightness(
