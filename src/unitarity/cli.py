@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -171,6 +172,19 @@ def _int_at_least(low: int):
     return parse
 
 
+def _finite_float(low: float, strict: bool):
+    """argparse type: a finite float above ``low`` (``strict``) or at least ``low``."""
+    relation = ">" if strict else ">="
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value) or value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {relation} {low:g}, got {text}")
+        return value
+    parse.__name__ = "float"  # argparse names the type in "invalid float value"
+    return parse
+
+
 def _dim_list(text: str) -> list[int]:
     """argparse type: a nonempty comma-separated list of integers, each at least 1."""
     dims = [_int_at_least(1)(tok) for tok in text.split(",") if tok]
@@ -190,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check trace preservation of a channel file")
     p.add_argument("channel", help="channel JSON file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float(0.0, strict=True), default=1e-9)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("du", help="degree of unitarity of a channel file")
@@ -230,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="non-Markovianity witness along a trajectory")
     p.add_argument("trajectory", help="trajectory JSON file")
-    p.add_argument("--threshold", type=float, default=1e-6)
+    p.add_argument("--threshold", type=_finite_float(0.0, strict=False), default=1e-6)
     p.set_defaults(func=_cmd_witness)
 
     return parser

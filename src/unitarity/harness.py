@@ -11,7 +11,11 @@ which gives attempt k under a study's spawn key the integer seed
 for a given master seed regardless of chunking, and any single sampled
 channel can be regenerated from the seed stored in its record.
 
-Each chunk is sampled as a batch: each seed gets its own generator, every
+Each chunk is sampled as a batch. A numpy port of ``SeedSequence``'s hash
+runs over the whole chunk at once: it gives every attempt seed, then the
+PCG64 seed state that ``np.random.default_rng`` would build from each seed,
+and each seed's generator starts from that state. ``attempt_seed`` stays the
+one-record reference, and the test suite pins the port to numpy. Every
 generator draws its Ginibre entries in one call, and one QR factors the
 whole chunk's dilation unitaries. The chunk's Kraus stack then goes through
 the DU pipeline in one call, in which a channel that takes the ascent draws
@@ -23,7 +27,9 @@ for bit, and ``du(channel, restarts, rng)`` with that generator its value.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +105,113 @@ def attempt_seed(master: int, key: tuple[int, ...]) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on 32-bit words
+# held in Python ints (words a chunk shares) or uint64 arrays (one per attempt).
+_M32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+def _words(x) -> list[int]:
+    """A non-negative integer as little-endian 32-bit words, as SeedSequence reads it."""
+    x = operator.index(x)
+    if x < 0:
+        raise ValueError("expected non-negative integer")
+    words = [x & _M32]
+    while x := x >> 32:
+        words.append(x & _M32)
+    return words
+
+
+def _hash_consts(h: int, mult: int):
+    """The hash constant before and after each successive ``hashmix`` step."""
+    while True:
+        before, h = h, h * mult & _M32
+        yield before, h
+
+
+def _hashmix(value, consts):
+    before, after = next(consts)
+    value = (value ^ before) * after & _M32
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x, y):
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y & _M32
+    return r ^ r >> _XSHIFT
+
+
+def _mix_in(pool: list, word, consts) -> list:
+    """Mix one entropy word into every pool word."""
+    return [_mix(x, _hashmix(word, consts)) for x in pool]
+
+
+def _entropy_pool(words: list, consts) -> list:
+    """``SeedSequence.mix_entropy``: the first pool-size words, mixed all-to-all,
+    then each further word mixed into the whole pool."""
+    pool = [_hashmix(words[i] if i < len(words) else 0, consts) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in words[_POOL_SIZE:]:
+        pool = _mix_in(pool, word, consts)
+    return pool
+
+
+def _state_u64(pool: list, n: int) -> np.ndarray:
+    """``SeedSequence.generate_state(n, np.uint64)`` of every row: shape (rows, n)."""
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    w = [_hashmix(pool[i % _POOL_SIZE], consts) for i in range(2 * n)]
+    return np.stack([w[i] | w[i + 1] << 32 for i in range(0, 2 * n, 2)], axis=1)
+
+
+def _attempt_seeds(master: int, key: tuple[int, ...], start: int, count: int) -> np.ndarray:
+    """``attempt_seed(master, key + (k,))`` for k = start .. start+count-1, as uint64."""
+    words = _words(master)
+    words += [0] * (_POOL_SIZE - len(words))  # a spawn key pads the entropy to the pool
+    for k in key:
+        words += _words(k)
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = _entropy_pool(words, consts)  # shared by the chunk: hashed once, as scalars
+    k = np.arange(start, start + count, dtype=np.uint64)
+    pool = _mix_in(pool, k & _M32, consts)
+    high = k >> 32
+    if high.any():  # an attempt index >= 2**32 is a second word, mixed in after the first
+        pool = [np.where(high > 0, b, a) for a, b in zip(pool, _mix_in(pool, high, consts))]
+    return _state_u64(pool, 1)[:, 0]
+
+
+@functools.cache
+def _fixed_state_type() -> type:
+    """A seed-sequence type whose PCG64 state is already hashed. Built on first
+    use: numpy 2 loads numpy.random lazily, and importing this package should
+    not load it."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedState(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return FixedState
+
+
+def _generators(seeds) -> list[np.random.Generator]:
+    """``[np.random.default_rng(s) for s in seeds]``, with every seed hashed in
+    one pass. A seed below 2**32 is one entropy word, but needs no case of its
+    own: the hash pads a short entropy to the pool size with zero words."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    pool = _entropy_pool([seeds & _M32, seeds >> 32], _hash_consts(_INIT_A, _MULT_A))
+    fixed_state = _fixed_state_type()
+    return [np.random.Generator(np.random.PCG64(fixed_state(s))) for s in _state_u64(pool, 4)]
+
+
 def _evaluate_dilation_batch(
     sys_dim: int,
     env_dim: int,
@@ -108,12 +221,12 @@ def _evaluate_dilation_batch(
 ) -> _DuStack:
     """Sample one Haar-dilation channel per seed and evaluate DU + bounds.
 
-    Each seed gets its own generator; the channels are drawn as one Kraus
-    stack and evaluated by the DU core of :mod:`unitarity.du`, where a
-    channel that takes the ascent draws its ``restarts`` Haar starts from
-    the same generator.
+    Each seed gets the generator ``np.random.default_rng(seed)`` would give;
+    the channels are drawn as one Kraus stack and evaluated by the DU core of
+    :mod:`unitarity.du`, where a channel that takes the ascent draws its
+    ``restarts`` Haar starts from the same generator.
     """
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = _generators(seeds)
     return _du_stack(_dilation_kraus_stack(sys_dim, env_dim, rngs, env_state), rngs, restarts)
 
 
@@ -122,8 +235,8 @@ def _sample(sys_dim: int, env_dim: int, seed: int, key: tuple[int, ...], total: 
     """Attempts 0 .. total-1 under spawn key ``key`` of master ``seed``, a
     chunk at a time: yields each chunk's seeds and its evaluated batch."""
     for start in range(0, total, chunk):
-        seeds = [attempt_seed(seed, key + (start + i,)) for i in range(min(chunk, total - start))]
-        yield seeds, _evaluate_dilation_batch(sys_dim, env_dim, seeds, restarts)
+        seeds = _attempt_seeds(seed, key, start, min(chunk, total - start))
+        yield seeds.tolist(), _evaluate_dilation_batch(sys_dim, env_dim, seeds, restarts)
 
 
 def _tally(bulk: _DuStack, kept=slice(None)) -> np.ndarray:
@@ -353,7 +466,9 @@ class Trajectory:
             raise ValueError(
                 f"{len(times)} times but {len(self.channels)} channels"
             )
-        if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
+        if not all(map(math.isfinite, times)):
+            raise ValueError("times must be finite")
+        if any(not t1 < t2 for t1, t2 in zip(times, times[1:])):
             raise ValueError("times must be strictly ascending")
         dims = {ch.dim for ch in self.channels}
         if len(dims) > 1:

@@ -49,6 +49,16 @@ def channel_to_obj(ch: KrausChannel) -> dict:
     return {"dim": ch.dim, "kraus": [matrix_to_obj(op) for op in ch.kraus]}
 
 
+def _dim_field(obj: dict, what: str) -> int:
+    """The ``"dim"`` entry of ``obj``: an integer (an integral number such as 2.0 too)."""
+    dim = obj["dim"]
+    if isinstance(dim, float) and dim.is_integer():
+        dim = int(dim)
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise FormatError(f"{what}: 'dim' must be an integer, got {dim!r}")
+    return dim
+
+
 def channel_from_obj(obj) -> KrausChannel:
     if not isinstance(obj, dict):
         raise FormatError(f"channel: expected a JSON object, got {type(obj).__name__}")
@@ -68,10 +78,7 @@ def channel_from_obj(obj) -> KrausChannel:
             raise FormatError(f"channel: {exc}") from None
     if "dim" not in obj or "kraus" not in obj:
         raise FormatError("channel: expected keys 'dim' and 'kraus' (or 'standard')")
-    try:
-        dim = int(obj["dim"])
-    except (TypeError, ValueError):
-        raise FormatError("channel: 'dim' must be an integer") from None
+    dim = _dim_field(obj, "channel")
     kraus_objs = obj["kraus"]
     if not isinstance(kraus_objs, list) or not kraus_objs:
         raise FormatError("channel: 'kraus' must be a nonempty list")
@@ -113,11 +120,11 @@ def trajectory_from_obj(obj) -> Trajectory:
     for key in ("dim", "times", "channels"):
         if key not in obj:
             raise FormatError(f"trajectory: missing key {key!r}")
+    dim = _dim_field(obj, "trajectory")
     try:
-        dim = int(obj["dim"])
         times = [float(t) for t in obj["times"]]
     except (TypeError, ValueError):
-        raise FormatError("trajectory: 'dim' must be an int and 'times' numeric") from None
+        raise FormatError("trajectory: 'times' must be numeric") from None
     if not isinstance(obj["channels"], list):
         raise FormatError("trajectory: 'channels' must be a list")
     channels = [channel_from_obj(c) for c in obj["channels"]]

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -180,12 +181,35 @@ class TestArgumentRanges:
         assert err.startswith("usage: unitarity")
         assert "argument --env-dims: expected at least one dimension" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["validate", "channel.json", "--tol", "-1"], "--tol"),
+            (["validate", "channel.json", "--tol", "0"], "--tol"),
+            (["validate", "channel.json", "--tol", "nan"], "--tol"),
+            (["validate", "channel.json", "--tol", "inf"], "--tol"),
+            (["witness", "traj.json", "--threshold", "-5"], "--threshold"),
+            (["witness", "traj.json", "--threshold", "nan"], "--threshold"),
+            (["witness", "traj.json", "--threshold", "inf"], "--threshold"),
+        ],
+        ids=["tol-negative", "tol-zero", "tol-nan", "tol-inf", "threshold-negative",
+             "threshold-nan", "threshold-inf"],
+    )
+    def test_float_out_of_range_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: unitarity")
+        assert f"argument {flag}: must be a finite number" in err
+
     def test_lower_limits_accepted(self, ad_file, capsys):
         assert main(["du", ad_file, "--restarts", "0"]) == 0
         assert main(["table1", "--grid", "1"]) == 0
         assert main(["tightness", "--samples", "1", "--seed", "0"]) == 0
         assert main(["distribution", "--samples", "1", "--seed", "1", "--env-dims", "1",
                      "--bins", "1"]) == 0
+        assert main(["validate", ad_file, "--tol", "1e-3"]) == 0
 
 
 class TestDeprecatedRestarts:
@@ -257,6 +281,14 @@ class TestWitnessCommand:
         assert main(["witness", str(path)]) == 0
         assert "inconclusive" in capsys.readouterr().out
 
+    def test_zero_threshold_accepted(self, tmp_path, capsys):
+        path = tmp_path / "traj.json"
+        path.write_text(json.dumps({
+            "dim": 2, "times": [0.0], "channels": [{"standard": "bit_flip", "param": 0.1}],
+        }))
+        assert main(["witness", str(path), "--threshold", "0"]) == 0
+        assert "inconclusive" in capsys.readouterr().out
+
     def test_time_mismatch_exit_2(self, tmp_path):
         path = tmp_path / "traj.json"
         path.write_text(json.dumps({"dim": 2, "times": [0.0], "channels": []}))
@@ -268,8 +300,9 @@ class TestWitnessCommand:
             ([1.0, 0.0], [{"standard": "bit_flip", "param": 0.1}] * 2, "strictly ascending"),
             ([], [], "at least one time point"),
             ([0.0], 5, "'channels' must be a list"),
+            ([0.0, math.nan], [{"standard": "bit_flip", "param": 0.1}] * 2, "finite"),
         ],
-        ids=["descending-times", "no-time-points", "channels-not-a-list"],
+        ids=["descending-times", "no-time-points", "channels-not-a-list", "nan-time"],
     )
     def test_malformed_trajectory_exit_2(self, tmp_path, capsys, times, channels, message):
         path = tmp_path / "traj.json"
@@ -278,6 +311,30 @@ class TestWitnessCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: trajectory: ")
         assert message in err
+
+
+class TestNonIntegralDim:
+    IDENTITY = [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]
+
+    def test_channel_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "chan.json"
+        path.write_text(json.dumps({"dim": 2.7, "kraus": self.IDENTITY}))
+        assert main(["du", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: channel: 'dim' must be an integer")
+
+    def test_trajectory_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "traj.json"
+        path.write_text(json.dumps({
+            "dim": 2.7, "times": [0.0], "channels": [{"dim": 2, "kraus": self.IDENTITY}],
+        }))
+        assert main(["witness", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: trajectory: 'dim' must be an integer")
+
+    def test_integral_number_accepted(self, tmp_path, capsys):
+        path = tmp_path / "chan.json"
+        path.write_text(json.dumps({"dim": 2.0, "kraus": self.IDENTITY}))
+        assert main(["du", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("du=1 ")
 
 
 class TestChannelJsonRoundTrip:

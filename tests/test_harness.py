@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from unitarity import (
     Trajectory,
@@ -15,7 +17,9 @@ from unitarity import (
     standard_channel,
 )
 from unitarity.harness import (
+    _attempt_seeds,
     _evaluate_dilation_batch,
+    _generators,
     attempt_seed,
     sorted_by_du,
     sorted_by_ub,
@@ -99,6 +103,48 @@ class TestBulkEvaluator:
         se = math.sqrt(du0.var(ddof=1) / n + du1.var(ddof=1) / n)
         assert abs(du0.mean() - du1.mean()) < 4 * se
         assert abs(du0.std() - du1.std()) < 0.02
+
+
+def _integers_by_bit_length(max_bits: int):
+    """Non-negative integers whose bit length is spread evenly up to ``max_bits``."""
+    return st.integers(0, max_bits).flatmap(lambda bits: st.integers(0, 2**bits - 1))
+
+
+class TestSeedPort:
+    """The chunk-wide port of numpy's SeedSequence hash, pinned to numpy itself:
+    a numpy that changes its seeding must fail here rather than let sampled
+    results drift."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        master=_integers_by_bit_length(131),
+        key=st.lists(_integers_by_bit_length(40), max_size=2),
+        start=st.one_of(st.integers(0, 2000), st.integers(2**32 - 8, 2**32 + 8)),
+        count=st.integers(1, 12),
+    )
+    @example(master=0, key=[], start=0, count=3)
+    @example(master=2**130, key=[2**32, 7], start=2**32 - 2, count=4)
+    def test_attempt_seeds_match_seed_sequence(self, master, key, start, count):
+        key = tuple(key)
+        seeds = _attempt_seeds(master, key, start, count)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [attempt_seed(master, key + (start + i,)) for i in range(count)]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seeds=st.lists(_integers_by_bit_length(64), min_size=1, max_size=8))
+    @example(seeds=[0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_generators_match_default_rng(self, seeds):
+        for seed, rng in zip(seeds, _generators(seeds)):
+            ref = np.random.default_rng(seed)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(rng.standard_normal(6), ref.standard_normal(6))
+            assert np.array_equal(rng.integers(0, 2**62, 4), ref.integers(0, 2**62, 4))
+
+    def test_rejects_a_negative_master_like_seed_sequence(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(-1, spawn_key=(0,))
+        with pytest.raises(ValueError):
+            _attempt_seeds(-1, (), 0, 1)
 
 
 class TestTightness:
@@ -324,6 +370,9 @@ class TestWitness:
             Trajectory(times=(0.0,), channels=(ch, ch))
         with pytest.raises(ValueError):
             Trajectory(times=(), channels=())
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Trajectory(times=(0.0, bad), channels=(ch, ch))
 
 
 class TestCsvEmitters:
