@@ -13,6 +13,7 @@ j = m * dim + n, i.e. row-major flattening of the matrix units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .linalg import RANK_CUTOFF, as_matrix, ginibre_stack, haar_from_ginibre
 # Frobenius tolerance on sum_k E_k† E_k - I for trace preservation.
 TRACE_PRESERVATION_TOL = 1e-9
 
-# Default tolerance for the "F† F proportional to I" test that detects
+# Tolerance of the "F† F proportional to I" test that detects
 # mixed-unitary structure in canonical Kraus operators.
 PROPORTIONALITY_TOL = 1e-8
 
@@ -147,7 +148,12 @@ def convex_unitary_mixture(unitaries, probs) -> KrausChannel:
 
 
 def validate(ch: KrausChannel, tol: float = TRACE_PRESERVATION_TOL) -> ValidationReport:
-    """Report the trace-preservation residual ||sum_k E_k† E_k - I||_F."""
+    """Report the trace-preservation residual ||sum_k E_k† E_k - I||_F.
+
+    ``tol`` must be a finite number above 0, else ValueError.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     acc = np.zeros((ch.dim, ch.dim), dtype=np.complex128)
     for op in ch.kraus:
         acc += op.conj().T @ op
@@ -155,12 +161,13 @@ def validate(ch: KrausChannel, tol: float = TRACE_PRESERVATION_TOL) -> Validatio
     return ValidationReport(residual=residual, passed=residual <= tol, tol=tol)
 
 
-def require_trace_preserving(ch: KrausChannel, tol: float = TRACE_PRESERVATION_TOL) -> None:
-    """Raise ChannelValidationError if the channel is not trace preserving."""
-    report = validate(ch, tol)
+def require_trace_preserving(ch: KrausChannel) -> None:
+    """Raise ChannelValidationError if the channel is not trace preserving
+    within TRACE_PRESERVATION_TOL."""
+    report = validate(ch)
     if not report.passed:
         raise ChannelValidationError(
-            f"channel is not trace preserving (residual {report.residual:.3e} > {tol:.1e})"
+            f"channel is not trace preserving (residual {report.residual:.3e} > {report.tol:.1e})"
         )
 
 
@@ -190,31 +197,26 @@ def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
     return ChiMatrix(ch.dim, chi)
 
 
-def chi_to_kraus(
-    x: ChiMatrix,
-    *,
-    cutoff: float = RANK_CUTOFF,
-    psd_tol: float = 1e-9,
-) -> KrausChannel:
+def chi_to_kraus(x: ChiMatrix) -> KrausChannel:
     """Recover Kraus operators from a chi matrix by eigendecomposition.
 
     E_k = sqrt(lambda_k) * unvec(v_k) for eigenpairs of chi; eigenvalues at
-    or below ``cutoff`` are dropped. Raises ChannelValidationError when chi
-    fails Hermiticity or PSD beyond tolerance.
+    or below RANK_CUTOFF are dropped. Raises ChannelValidationError when chi
+    fails Hermiticity or PSD beyond a relative 1e-9.
     """
     mat = x.mat
     scale = max(1.0, float(np.linalg.norm(mat)))
     if np.linalg.norm(mat - mat.conj().T) > 1e-9 * scale:
         raise ChannelValidationError("chi matrix is not Hermitian")
     vals, vecs = np.linalg.eigh(mat)
-    if vals.min() < -psd_tol * max(1.0, float(vals.max())):
+    if vals.min() < -1e-9 * max(1.0, float(vals.max())):
         raise ChannelValidationError(
             f"chi matrix is not PSD (min eigenvalue {vals.min():.3e})"
         )
     order = np.argsort(vals)[::-1]
     ops = []
     for k in order:
-        if vals[k] <= cutoff:
+        if vals[k] <= RANK_CUTOFF:
             break
         ops.append(np.sqrt(vals[k]) * vecs[:, k].reshape(x.dim, x.dim))
     if not ops:
@@ -222,14 +224,14 @@ def chi_to_kraus(
     return KrausChannel(x.dim, tuple(ops))
 
 
-def _canonical_stack(kraus: np.ndarray, cutoff: float = RANK_CUTOFF):
+def _canonical_stack(kraus: np.ndarray):
     """Canonical form of a (B, K, n, n) stack of Kraus sets.
 
     One batched ``eigh`` of the correlation matrices. Returns the weights
     (B, R), the operators (B, R, n, n) and the eigenvector matrices
     (B, K, K), the conjugate transposes of the mixing matrices. R is the
     largest rank in the stack (at most n^2, else ChannelValidationError);
-    weights at or below ``cutoff`` and their operators are set to zero.
+    weights at or below RANK_CUTOFF and their operators are set to zero.
     """
     n_batch, k, n = kraus.shape[:3]
     flat = kraus.reshape(n_batch, k, n * n)
@@ -237,7 +239,7 @@ def _canonical_stack(kraus: np.ndarray, cutoff: float = RANK_CUTOFF):
     vals, vecs = np.linalg.eigh(corr)
     vals = vals[:, ::-1]
     vecs = vecs[:, :, ::-1]
-    keep = vals > cutoff
+    keep = vals > RANK_CUTOFF
     rank = int(keep.sum(axis=1).max())
     if rank > n * n:
         raise ChannelValidationError(
@@ -249,15 +251,15 @@ def _canonical_stack(kraus: np.ndarray, cutoff: float = RANK_CUTOFF):
     return weights, np.where(keep[..., None, None], ops, 0.0), vecs
 
 
-def canonicalize(ch: KrausChannel, *, cutoff: float = RANK_CUTOFF) -> CanonicalKraus:
+def canonicalize(ch: KrausChannel) -> CanonicalKraus:
     """Diagonalize the correlation matrix W_jk = <E_j, E_k> into orthogonal form.
 
     With W = u† D u (D descending), the operators F_i = sum_j conj(u[i, j]) E_j
     satisfy <F_i, F_k> = delta_ik D_kk and represent the same channel.
-    Combinations with weight at or below ``cutoff`` are discarded; at most
+    Combinations with weight at or below RANK_CUTOFF are discarded; at most
     dim^2 operators survive.
     """
-    weights, ops, vecs = _canonical_stack(np.stack(ch.kraus)[None], cutoff)
+    weights, ops, vecs = _canonical_stack(np.stack(ch.kraus)[None])
     return CanonicalKraus(
         dim=ch.dim,
         ops=tuple(np.ascontiguousarray(op) for op in ops[0]),
@@ -266,10 +268,10 @@ def canonicalize(ch: KrausChannel, *, cutoff: float = RANK_CUTOFF) -> CanonicalK
     )
 
 
-def _unitary_multiples(ops: np.ndarray, tol: float = PROPORTIONALITY_TOL):
+def _unitary_multiples(ops: np.ndarray):
     """Which operators of a (B, K, n, n) stack satisfy F† F = c I.
 
-    The test holds within ``tol`` in Frobenius norm, relative to
+    The test holds within PROPORTIONALITY_TOL in Frobenius norm, relative to
     max(1, tr F† F); a zero operator passes. Returns the (B, K) flags and
     c = tr(F† F) / n.
     """
@@ -277,21 +279,19 @@ def _unitary_multiples(ops: np.ndarray, tol: float = PROPORTIONALITY_TOL):
     gram = np.einsum("bkli,bklj->bkij", ops.conj(), ops)
     c = np.einsum("bkii->bk", gram).real / n
     dev = np.linalg.norm(gram - c[..., None, None] * np.eye(n), axis=(-2, -1))
-    return dev <= tol * np.maximum(1.0, c * n), c
+    return dev <= PROPORTIONALITY_TOL * np.maximum(1.0, c * n), c
 
 
-def as_mixed_unitary(
-    ck: CanonicalKraus, tol: float = PROPORTIONALITY_TOL
-) -> MixedUnitaryForm | None:
+def as_mixed_unitary(ck: CanonicalKraus) -> MixedUnitaryForm | None:
     """Extract E_k = alpha_k U_k structure from a canonical Kraus set.
 
-    Each operator is tested for F† F proportional to I within ``tol``
-    (Frobenius norm, relative to max(1, tr F† F)), the DU core's test.
-    Returns None when any operator fails; this is the regular "not
-    mixed-unitary" outcome, not an error.
+    Each operator is tested for F† F proportional to I within
+    PROPORTIONALITY_TOL (Frobenius norm, relative to max(1, tr F† F)), the
+    DU core's test. Returns None when any operator fails; this is the
+    regular "not mixed-unitary" outcome, not an error.
     """
     n = ck.dim
-    ok, c = _unitary_multiples(np.stack(ck.ops)[None], tol)
+    ok, c = _unitary_multiples(np.stack(ck.ops)[None])
     if not ok.all():
         return None
     unitaries = []

@@ -91,15 +91,7 @@ def _cmd_table1(args) -> int:
     return 0
 
 
-def _warn_dead_restarts(args) -> None:
-    if args.restarts is not None:
-        print(f"note: --restarts is deprecated and ignored by {args.command}: "
-              "it samples qubit channels, which take an exact path",
-              file=sys.stderr)
-
-
 def _cmd_tightness(args) -> int:
-    _warn_dead_restarts(args)
     result = run_tightness(
         samples=args.samples,
         env_dim=args.env_dim,
@@ -131,7 +123,6 @@ def _cmd_tightness(args) -> int:
 
 
 def _cmd_distribution(args) -> int:
-    _warn_dead_restarts(args)
     hists = run_distribution(
         samples=args.samples,
         env_dims=args.env_dims,
@@ -228,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stratified", action="store_true")
     p.add_argument("--env-dim", type=_int_at_least(1), default=2)
     p.add_argument("--attempt-cap", type=_int_at_least(1), default=1_000_000)
-    p.add_argument("--restarts", type=int, help=argparse.SUPPRESS)  # deprecated, ignored
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=_cmd_tightness)
 
@@ -237,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--env-dims", type=_dim_list, default="2,4")
     p.add_argument("--bins", type=_int_at_least(1), default=30)
-    p.add_argument("--restarts", type=int, help=argparse.SUPPRESS)  # deprecated, ignored
     p.add_argument("--du-column", choices=("dispatcher", "lb1"), default="dispatcher")
     p.add_argument("--out", help="CSV output base path (one file per env dim)")
     p.set_defaults(func=_cmd_distribution)

@@ -217,8 +217,6 @@ def _ascend(
     warm: np.ndarray,
     rngs,
     restarts: int,
-    tol: float,
-    max_iter: int,
     want_trace: bool,
 ):
     """Fixed-point ascent of each channel of an (A, K, n, n) canonical stack.
@@ -226,12 +224,13 @@ def _ascend(
     Each channel starts from its warm starts ``warm`` (A, W, n, n) plus
     ``restarts`` Haar unitaries that its generator draws as one stack. Each
     start retires on its own once its objective improves by less than
-    ``tol`` in a sweep, and only the starts still ascending are
-    polar-decomposed. Returns, for each channel's best start, its DU, its
-    unitary, its own sweep count, whether it converged before the cap, and
-    with ``want_trace`` its raw objectives f(U) = sum_k |<U, F_k>|^2 before
-    and after each sweep. An ascent step that decreases the objective
-    beyond floating-point noise indicates a broken update and raises
+    CONVERGENCE_TOL in a sweep, and only the starts still ascending are
+    polar-decomposed; no start takes more than MAX_ITERATIONS sweeps.
+    Returns, for each channel's best start, its DU, its unitary, its own
+    sweep count, whether it converged before the cap, and with
+    ``want_trace`` its raw objectives f(U) = sum_k |<U, F_k>|^2 before and
+    after each sweep. An ascent step that decreases the objective beyond
+    floating-point noise indicates a broken update and raises
     ArithmeticError.
     """
     n = ops.shape[-1]
@@ -246,7 +245,7 @@ def _ascend(
     active = np.ones(a * p, dtype=bool)
     traces = [[float(v)] for v in f] if want_trace else None
     iterations = 0
-    while active.any() and iterations < max_iter:
+    while active.any() and iterations < MAX_ITERATIONS:
         idx = np.flatnonzero(active)
         by_channel = active.reshape(a, p)
         ascending = by_channel.any(axis=1)
@@ -263,7 +262,7 @@ def _ascend(
         f[idx] = f_new
         iterations += 1
         sweeps[idx] = iterations
-        active[idx[np.abs(delta) < tol]] = False
+        active[idx[np.abs(delta) < CONVERGENCE_TOL]] = False
         if want_trace:
             for i, val in zip(idx, f_new):
                 traces[i].append(float(val))
@@ -282,15 +281,14 @@ def du_optimize(
     restarts: int = DEFAULT_RESTARTS,
     rng: np.random.Generator | None = None,
     *,
-    tol: float = CONVERGENCE_TOL,
-    max_iter: int = MAX_ITERATIONS,
     trace: bool = False,
 ) -> DuResult:
     """Numerical DU via monotone fixed-point ascent over the unitary group.
 
     Runs ``restarts`` Haar-random starts plus the two bound witnesses as
     warm starts; a start is converged when its objective improves by less
-    than ``tol`` in a sweep. ``converged`` reports the best run's own flag.
+    than CONVERGENCE_TOL in a sweep before MAX_ITERATIONS sweeps.
+    ``converged`` reports the best run's own flag.
     With ``trace=True`` the best run's objective sequence is attached.
     Takes the ascent for every channel, so it is the reference for the
     exact routes.
@@ -303,7 +301,7 @@ def du_optimize(
         rng = np.random.default_rng(0)
     _, ops, _ = _canonical_stack(np.stack(ch.kraus)[None])
     value, witness, sweeps, converged, traces = _ascend(
-        ops, _bound_stack(ops).witnesses, [rng], restarts, tol, max_iter, trace
+        ops, _bound_stack(ops).witnesses, [rng], restarts, trace
     )
     return DuResult(
         value=float(value[0]),
@@ -362,8 +360,7 @@ def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
         value[todo], witness[todo] = _qubit_du_stack(ops[todo])
     elif todo.size:
         value[todo], witness[todo], iterations[todo], converged[todo], _ = _ascend(
-            ops[todo], bounds.witnesses[todo], [rngs[b] for b in todo], restarts,
-            CONVERGENCE_TOL, MAX_ITERATIONS, False,
+            ops[todo], bounds.witnesses[todo], [rngs[b] for b in todo], restarts, False
         )
 
     lb = np.maximum(bounds.lb1, bounds.lb2)

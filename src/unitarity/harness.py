@@ -34,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _dilation_kraus_stack, standard_channel
+from .channels import STANDARD_KINDS, KrausChannel, _dilation_kraus_stack, standard_channel
 from .du import _du_stack, _DuStack, du
 
-CHANNEL_FAMILIES = ("depolarizing", "bit_flip", "phase_flip", "amplitude_damping")
+CHANNEL_FAMILIES = STANDARD_KINDS
 
 
 def closed_form_du(kind: str, param: float) -> float:
@@ -72,13 +72,11 @@ class Table1Report:
         return max(r.error for r in self.rows if r.family == family)
 
 
-def run_table1(grid: int = 51, params=None, restarts: int = 8) -> Table1Report:
+def run_table1(grid: int = 51, restarts: int = 8) -> Table1Report:
     """Dispatcher DU vs closed form for every standard family over a grid."""
-    if params is None:
-        params = np.linspace(0.0, 1.0, grid)
     rows = []
     for family in CHANNEL_FAMILIES:
-        for p in np.asarray(params, dtype=float):
+        for p in np.linspace(0.0, 1.0, grid):
             res, _ = du(standard_channel(family, float(p)), restarts=restarts)
             ref = closed_form_du(family, float(p))
             rows.append(
@@ -212,13 +210,7 @@ def _generators(seeds) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(fixed_state(s))) for s in _state_u64(pool, 4)]
 
 
-def _evaluate_dilation_batch(
-    sys_dim: int,
-    env_dim: int,
-    seeds,
-    restarts: int,
-    env_state=None,
-) -> _DuStack:
+def _evaluate_dilation_batch(sys_dim: int, env_dim: int, seeds, restarts: int) -> _DuStack:
     """Sample one Haar-dilation channel per seed and evaluate DU + bounds.
 
     Each seed gets the generator ``np.random.default_rng(seed)`` would give;
@@ -227,7 +219,7 @@ def _evaluate_dilation_batch(
     ``restarts`` Haar starts from the same generator.
     """
     rngs = _generators(seeds)
-    return _du_stack(_dilation_kraus_stack(sys_dim, env_dim, rngs, env_state), rngs, restarts)
+    return _du_stack(_dilation_kraus_stack(sys_dim, env_dim, rngs), rngs, restarts)
 
 
 def _sample(sys_dim: int, env_dim: int, seed: int, key: tuple[int, ...], total: int,
@@ -304,13 +296,18 @@ def run_tightness(
     [1/n^2, 1] up to ceil(samples / bins) records each. It stops at the
     attempt that fills the last bin, or when the total attempt budget
     ``attempt_cap`` runs out; bins still below target are reported in
-    ``underfilled``, never fabricated.
+    ``underfilled``, never fabricated. ``bin_width`` must be a finite
+    number above 0, and with stratification leave at least one bin.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin_width must be a finite number > 0, got {bin_width!r}")
     lo = 1.0 / sys_dim**2
     if stratified:
         n_bins = int(round((1.0 - lo) / bin_width))
+        if n_bins < 1:
+            raise ValueError(f"bin_width {bin_width!r} leaves no bin over [{lo:g}, 1]")
         edges = lo + bin_width * np.arange(n_bins + 1)
         edges[-1] = 1.0
         target = math.ceil(samples / n_bins)
@@ -518,7 +515,10 @@ class WitnessReport:
 
 
 def run_witness(traj: Trajectory, threshold: float = 1e-6, restarts: int = 8) -> WitnessReport:
-    """Compute DU along the trajectory and flag increases above threshold."""
+    """Compute DU along the trajectory and flag increases above threshold,
+    which must be a finite number of at least 0."""
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
     values = np.array([du(ch, restarts=restarts)[0].value for ch in traj.channels])
     increases = []
     for i in range(len(values) - 1):

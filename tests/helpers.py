@@ -6,9 +6,15 @@ route: it reduces the qubit problem to a real symmetric 4x4 eigenproblem.
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 
 from unitarity import KrausChannel
+
+# The module, for patching its constants: the attribute ``unitarity.du`` is
+# the function du(), which shadows the submodule.
+DU_MODULE = importlib.import_module("unitarity.du")
 
 PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)

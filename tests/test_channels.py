@@ -58,6 +58,11 @@ class TestValidate:
         # residual of ||0.81 I - I||_F
         assert report.residual == pytest.approx(0.19 * np.sqrt(2.0), abs=1e-12)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            validate(standard_channel("bit_flip", 0.3), tol=tol)
+
     def test_require_raises(self):
         with pytest.raises(ChannelValidationError):
             require_trace_preserving(KrausChannel(2, (0.9 * np.eye(2),)))

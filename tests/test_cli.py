@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from unitarity import standard_channel
+from unitarity import random_channel, standard_channel
 from unitarity.cli import main
 from unitarity.io import channel_to_obj, load_channel, save_channel
+
+from helpers import DU_MODULE
 
 
 @pytest.fixture
@@ -71,6 +73,16 @@ class TestDuCommand:
 
     def test_invalid_channel_exit_1(self, bad_tp_file):
         assert main(["du", bad_tp_file]) == 1
+
+    def test_json_reports_nonconvergence(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "qutrit.json"
+        save_channel(random_channel(3, 2, np.random.default_rng(8)), str(path))
+        monkeypatch.setattr(DU_MODULE, "MAX_ITERATIONS", 1)
+        assert main(["du", str(path), "--json", "--restarts", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "numerical_optimizer"
+        assert payload["iterations"] == 1
+        assert payload["converged"] is False
 
 
 class TestBoundsCommand:
@@ -212,42 +224,21 @@ class TestArgumentRanges:
         assert main(["validate", ad_file, "--tol", "1e-3"]) == 0
 
 
-class TestDeprecatedRestarts:
-    @pytest.mark.parametrize(
-        "argv, outputs",
-        [
-            (["tightness", "--samples", "12", "--seed", "3", "--env-dim", "4"],
-             ["t.csv", "t_by_ub.csv"]),
-            (["distribution", "--samples", "60", "--env-dims", "2,4", "--seed", "3"],
-             ["t_d2.csv", "t_d4.csv"]),
-        ],
-    )
-    def test_accepted_ignored_and_noted(self, tmp_path, capsys, argv, outputs):
-        runs = []
-        for restarts in ("1", "9"):
-            out_dir = tmp_path / restarts
-            out_dir.mkdir()
-            code = main(argv + ["--restarts", restarts, "--out", str(out_dir / "t.csv")])
-            assert code == 0
-            captured = capsys.readouterr()
-            assert "--restarts is deprecated and ignored" in captured.err
-            stdout = captured.out.replace(str(out_dir), "<dir>")
-            files = [(out_dir / name).read_bytes() for name in outputs]
-            runs.append((stdout, files))
-        assert runs[0] == runs[1]
+class TestRemovedRestarts:
+    @pytest.mark.parametrize("command", ["tightness", "distribution"])
+    def test_restarts_is_a_usage_error(self, command, capsys):
+        # the samplers draw qubit channels, which take an exact route, so
+        # only ``du`` has an ascent for --restarts to feed
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--samples", "3", "--seed", "1", "--restarts", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: unitarity")
+        assert "unrecognized arguments: --restarts 2" in err
 
-    def test_no_note_without_the_flag(self, capsys):
+    def test_tightness_writes_nothing_to_stderr(self, capsys):
         assert main(["tightness", "--samples", "3", "--seed", "1"]) == 0
         assert capsys.readouterr().err == ""
-
-    @pytest.mark.parametrize("command", ["tightness", "distribution"])
-    def test_hidden_from_help(self, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--help"])
-        assert exc.value.code == 0
-        help_text = capsys.readouterr().out
-        assert "--seed" in help_text
-        assert "--restarts" not in help_text
 
 
 class TestWitnessCommand:

@@ -23,7 +23,7 @@ from unitarity import (
 from unitarity.channels import PAULI_X, PAULI_Y, PAULI_Z, KrausChannel
 from unitarity.du import _du_stack, _qubit_du_stack
 
-from helpers import qubit_du_oracle, random_mixed_unitary_channel, remix_kraus
+from helpers import DU_MODULE, qubit_du_oracle, random_mixed_unitary_channel, remix_kraus
 
 
 class TestExactPath:
@@ -236,6 +236,17 @@ class TestDispatcher:
             du_e, _ = du(e, restarts=4, rng=rng)
             du_fe, _ = du(compose(f, e), restarts=4, rng=rng)
             assert du_fe.value <= du_e.value + 1e-8
+
+    def test_reports_nonconvergence(self, monkeypatch):
+        # with a one-sweep cap no start of a generic qutrit ascent converges,
+        # and both the pipeline and the reference say so
+        ch = random_channel(3, 2, np.random.default_rng(15))
+        monkeypatch.setattr(DU_MODULE, "MAX_ITERATIONS", 1)
+        res, rep = du(ch, restarts=2)
+        assert res.method == "numerical_optimizer"
+        assert (res.iterations, res.converged) == (1, False)
+        assert max(rep.lb1, rep.lb2) - 1e-9 <= res.value <= rep.ub + 1e-9
+        assert not du_optimize(ch, restarts=2).converged
 
     def test_table_closed_forms(self):
         from unitarity import closed_form_du

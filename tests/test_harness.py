@@ -16,6 +16,8 @@ from unitarity import (
     run_witness,
     standard_channel,
 )
+from unitarity.channels import _dilation_kraus_stack
+from unitarity.du import _du_stack
 from unitarity.harness import (
     _attempt_seeds,
     _evaluate_dilation_batch,
@@ -30,6 +32,8 @@ from unitarity.io import (
     write_distribution_csv,
     write_tightness_csv,
 )
+
+from helpers import DU_MODULE
 
 
 class TestClosedForm:
@@ -99,7 +103,8 @@ class TestBulkEvaluator:
         seeds0 = [attempt_seed(5, (0, i)) for i in range(n)]
         seeds1 = [attempt_seed(5, (1, i)) for i in range(n)]
         du0 = _evaluate_dilation_batch(2, 2, seeds0, restarts=2).du
-        du1 = _evaluate_dilation_batch(2, 2, seeds1, restarts=2, env_state=e).du
+        rngs = _generators(seeds1)
+        du1 = _du_stack(_dilation_kraus_stack(2, 2, rngs, e), rngs, 2).du
         se = math.sqrt(du0.var(ddof=1) / n + du1.var(ddof=1) / n)
         assert abs(du0.mean() - du1.mean()) < 4 * se
         assert abs(du0.std() - du1.std()) < 0.02
@@ -201,6 +206,24 @@ class TestTightness:
         filled = len(result.records)
         assert filled + sum(result.underfilled.values()) <= 45 + len(result.underfilled) * 3
         assert result.attempts <= 4000
+
+    @pytest.mark.parametrize(
+        "bin_width, stratified",
+        [(0.0, True), (-0.1, True), (math.nan, True), (math.inf, True), (2.0, True),
+         (0.0, False), (-0.1, False), (math.nan, False)],
+        ids=["zero", "negative", "nan", "inf", "no-bin", "zero-unstratified",
+             "negative-unstratified", "nan-unstratified"],
+    )
+    def test_rejects_bad_bin_width(self, bin_width, stratified):
+        with pytest.raises(ValueError, match="bin_width"):
+            run_tightness(samples=4, seed=1, stratified=stratified, bin_width=bin_width)
+
+    def test_counts_nonconverged_records(self, monkeypatch):
+        # with a one-sweep cap no qutrit ascent converges, and every record
+        # is counted rather than dropped
+        monkeypatch.setattr(DU_MODULE, "MAX_ITERATIONS", 1)
+        result = run_tightness(64, sys_dim=3, seed=1, restarts=2)
+        assert (len(result.records), result.nonconverged) == (64, 64)
 
     def test_sorting_helpers(self):
         result = run_tightness(samples=30, seed=3)
@@ -314,6 +337,11 @@ class TestDistribution:
         # for d=2 the lower bound is exact, so both means coincide
         assert hist.mean == pytest.approx(hist.mean_lb1, abs=1e-9)
 
+    def test_counts_nonconverged_samples(self, monkeypatch):
+        monkeypatch.setattr(DU_MODULE, "MAX_ITERATIONS", 1)
+        hist = run_distribution(64, env_dims=[2], seed=1, sys_dim=3, restarts=2)[0]
+        assert (hist.sample_count, hist.nonconverged) == (64, 64)
+
     def test_reproducible(self):
         a = run_distribution(samples=100, env_dims=[2], seed=23, chunk=17)[0]
         b = run_distribution(samples=100, env_dims=[2], seed=23, chunk=512)[0]
@@ -357,6 +385,12 @@ class TestWitness:
     def test_constant_trajectory_no_flag(self):
         report = run_witness(self.damping_trajectory([0.3, 0.3, 0.3]))
         assert not report.non_markovian
+
+    @pytest.mark.parametrize("threshold", [-1e-6, math.nan, math.inf])
+    def test_rejects_bad_threshold(self, threshold):
+        traj = self.damping_trajectory([0.0, 0.5, 0.2])
+        with pytest.raises(ValueError, match="threshold"):
+            run_witness(traj, threshold=threshold)
 
     def test_threshold_suppresses_tiny_wiggles(self):
         report = run_witness(self.damping_trajectory([0.5, 0.5 - 1e-9]), threshold=1e-6)
