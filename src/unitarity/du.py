@@ -10,7 +10,9 @@ the whole stack:
 
 1. the canonical orthogonal Kraus form (one batched ``eigh``);
 2. certified lower/upper bounds from the singular values of the canonical
-   operators and the polar-decomposition nearest unitaries;
+   operators and the polar-decomposition nearest unitaries: for qubits in
+   closed form from each operator's determinant and adjugate, with no
+   LAPACK call, otherwise by batched SVDs;
 3. the exact value for channels whose canonical operators are all
    proportional to unitaries (max_k |alpha_k|^2 with witness U_k);
 4. the exact value for every other qubit channel. A qubit unitary is a
@@ -50,7 +52,7 @@ from .channels import (
     _unitary_multiples,
     require_trace_preserving,
 )
-from .linalg import ginibre_stack, haar_from_ginibre
+from .linalg import _svd_polar_2x2, ginibre_stack, haar_from_ginibre
 
 EXACT_METHOD = "exact_mixed_unitary"
 QUBIT_METHOD = "exact_qubit"
@@ -169,13 +171,24 @@ def _polar_unitary_stack(a: np.ndarray) -> np.ndarray:
 
 
 def _bound_stack(ops: np.ndarray) -> _BoundStack:
-    """Bounds of a (B, K, n, n) stack of canonical operators: one batched
-    SVD and one stacked polar of both witnesses."""
+    """Bounds of a (B, K, n, n) stack of canonical operators.
+
+    For n >= 3, one batched SVD of every operator and one stacked polar of
+    both witnesses. For qubits the closed-form 2x2 kernel
+    :func:`~unitarity.linalg._svd_polar_2x2` gives the singular values and
+    polar factors of every operator, with no LAPACK call.
+    """
     n = ops.shape[-1]
-    svals = np.linalg.svd(ops, compute_uv=False)
-    nuc = svals.sum(axis=-1)
-    lead = np.stack([ops[:, 0], ops[np.arange(len(ops)), np.argmax(nuc, axis=1)]], axis=1)
-    w = _polar_unitary_stack(lead)
+    if n == 2:
+        svals, polars = _svd_polar_2x2(ops)
+        nuc = svals.sum(axis=-1)
+        # per channel, operator 0 and the one of largest nuclear norm
+        w = polars[np.arange(len(ops))[:, None], np.argmax(nuc, axis=1)[:, None] * [0, 1]]
+    else:
+        svals = np.linalg.svd(ops, compute_uv=False)
+        nuc = svals.sum(axis=-1)
+        lead = np.stack([ops[:, 0], ops[np.arange(len(ops)), np.argmax(nuc, axis=1)]], axis=1)
+        w = _polar_unitary_stack(lead)
     lb = (np.abs(np.einsum("bkij,bwij->bwk", ops.conj(), w)) ** 2).sum(axis=-1) / n**2
     return _BoundStack(
         singular_values=svals,
@@ -210,6 +223,11 @@ def _qubit_du_stack(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(a)
     witnesses = np.einsum("bp,pij->bij", vecs[:, :, -1], _QUBIT_BASIS)
     return vals[:, -1] / 4.0, witnesses
+
+
+def _require_restarts(restarts: int) -> None:
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
 
 
 def _ascend(
@@ -297,6 +315,7 @@ def du_optimize(
     deterministic.
     """
     require_trace_preserving(ch)
+    _require_restarts(restarts)
     if rng is None:
         rng = np.random.default_rng(0)
     _, ops, _ = _canonical_stack(np.stack(ch.kraus)[None])
@@ -339,8 +358,9 @@ def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
     channels, and for the other channels of dimension 3 and up the ascent,
     whose Haar restarts each channel's generator draws after its channel.
     Raises ArithmeticError when a value escapes its bounds by more than
-    BOUND_SLACK.
+    BOUND_SLACK, and ValueError when ``restarts`` is negative.
     """
+    _require_restarts(restarts)
     n = kraus.shape[-1]
     weights, ops, _ = _canonical_stack(kraus)
     bounds = _bound_stack(ops)

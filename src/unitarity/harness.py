@@ -73,7 +73,10 @@ class Table1Report:
 
 
 def run_table1(grid: int = 51, restarts: int = 8) -> Table1Report:
-    """Dispatcher DU vs closed form for every standard family over a grid."""
+    """Dispatcher DU vs closed form for every standard family over a grid of
+    ``grid`` >= 1 points."""
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
     rows = []
     for family in CHANNEL_FAMILIES:
         for p in np.linspace(0.0, 1.0, grid):
@@ -301,6 +304,8 @@ def run_tightness(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     if not (math.isfinite(bin_width) and bin_width > 0):
         raise ValueError(f"bin_width must be a finite number > 0, got {bin_width!r}")
     lo = 1.0 / sys_dim**2
@@ -328,7 +333,7 @@ def run_tightness(
                 kept.append(i)
                 if min(counts) == target:  # the last bin is full
                     break
-        records += [_record(bulk, i, seeds[i]) for i in kept]
+        records += _records(bulk, kept, seeds)
         tally += _tally(bulk, kept)
         if min(counts) == target:
             break
@@ -344,19 +349,14 @@ def run_tightness(
     )
 
 
-def _record(bulk: _DuStack, i: int, seed_i: int) -> TightnessRecord:
-    value = float(bulk.du[i])
-    lb1 = float(bulk.lb1[i])
-    lb2 = float(bulk.lb2[i])
-    return TightnessRecord(
-        du_value=value,
-        lb1=lb1,
-        lb2=lb2,
-        lb1_err=value - lb1,
-        lb2_err=value - lb2,
-        ub=float(bulk.ub[i]),
-        seed=seed_i,
-    )
+def _records(bulk: _DuStack, kept: list[int], seeds: list[int]) -> list[TightnessRecord]:
+    """The records of entries ``kept`` of a batch, built from plain-float columns."""
+    columns = (getattr(bulk, name)[kept].tolist() for name in ("du", "lb1", "lb2", "ub"))
+    # positional in field order: du_value, lb1, lb2, lb1_err, lb2_err, ub, seed
+    return [
+        TightnessRecord(value, lb1, lb2, value - lb1, value - lb2, ub, seeds[i])
+        for i, value, lb1, lb2, ub in zip(kept, *columns)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +411,10 @@ def run_distribution(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    if num_bins < 1:
+        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
     if du_column not in ("dispatcher", "lb1"):
         raise ValueError(f"du_column must be 'dispatcher' or 'lb1', got {du_column!r}")
     lo = 1.0 / sys_dim**2

@@ -80,6 +80,55 @@ def polar(a) -> PolarFactors:
     return PolarFactors(w, p)
 
 
+# Constants of the closed-form 2x2 kernel, on matrices flattened row-major:
+# the signs of the adjugate, adj [[a, b], [c, d]] = [[d, -b], [-c, a]]; the
+# map from the norms (||m + y||_F, ||m - y||_F) = sqrt(2) (s1 + s2, s1 - s2)
+# to (s1, s2); and the identity.
+_ADJ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+_PLUS_MINUS = np.array([[1.0], [-1.0]])
+_NORMS_TO_SINGULAR = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(8.0)
+_SQRT2 = np.sqrt(2.0)
+_EYE_FLAT = np.array([1.0, 0.0, 0.0, 1.0])
+
+
+def _svd_polar_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and unitary polar factors of a stack of 2x2 matrices.
+
+    Closed form, no LAPACK call (Higham, Functions of Matrices, SIAM 2008,
+    ch. 8). For m = U diag(s1, s2) V†, y = phase(det m) adj(m)† equals
+    U diag(s2, s1) V†, so m + y = (s1 + s2) U V† and m - y =
+    (s1 - s2) U diag(1, -1) V†. Hence
+    s1 + s2 = ||m + y||_F / sqrt(2) = sqrt(||m||_F^2 + 2 |det m|), in which
+    nothing cancels, s1 - s2 = ||m - y||_F / sqrt(2), whose absolute error is
+    about eps s1 as LAPACK's is, and the polar factor is
+    (m + y) / (s1 + s2). A singular m takes phase 1 (any phase gives a
+    maximizer of Re tr(w† m)); a zero m gets singular values (0, 0) and the
+    identity, with no division by zero. ``m`` is a complex128 stack of shape
+    (..., 2, 2); returns the singular values (..., 2), descending, and the
+    polar factors (..., 2, 2).
+    """
+    f = m.reshape(m.shape[:-2] + (4,))
+    cross = f[..., :2] * f[..., :1:-1]  # m00 m11, m01 m10
+    det = cross[..., 0] - cross[..., 1]
+    mag = np.abs(det)
+    singular = mag == 0.0
+    if singular.any():
+        det = np.where(singular, 1.0, det)
+        mag = np.where(singular, 1.0, mag)
+    y = f[..., ::-1].conj()
+    y *= (det / mag)[..., None] * _ADJ_SIGNS
+    sums = f[..., None, :] + _PLUS_MINUS * y[..., None, :]  # m + y, m - y
+    re = sums.view(np.float64)
+    norms = np.sqrt((re * re).sum(axis=-1))
+    s = np.maximum(norms @ _NORMS_TO_SINGULAR, 0.0)
+    p, total = sums[..., 0, :], norms[..., :1] / _SQRT2
+    zero = total == 0.0
+    if zero.any():
+        p = np.where(zero, _EYE_FLAT, p)
+        total = np.where(zero, 1.0, total)
+    return s, (p / total).reshape(m.shape)
+
+
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 

@@ -112,3 +112,24 @@ def reference_dilation_kraus(
     else:
         ops = np.einsum("akbt,t->akb", t, np.asarray(env_state, dtype=np.complex128))
     return np.ascontiguousarray(ops.transpose(1, 0, 2))
+
+
+def reference_bounds(ops: np.ndarray) -> dict:
+    """Bound fields of one canonical Kraus set (K, n, n), one LAPACK SVD per
+    operator: the unbatched route the library's bound stage must agree with."""
+    n = ops.shape[-1]
+    svals = np.array([np.linalg.svd(op, compute_uv=False) for op in ops])
+    nuc = svals.sum(axis=1)
+
+    def lower_bound(op):
+        u, _, vh = np.linalg.svd(op)
+        w = u @ vh
+        return sum(abs(np.vdot(w, f)) ** 2 for f in ops) / n**2
+
+    return {
+        "singular_values": svals,
+        "lb1": lower_bound(ops[0]),
+        "lb1_simplified": nuc[0] ** 2 / n**2,
+        "lb2": lower_bound(ops[int(np.argmax(nuc))]),
+        "ub": float((nuc**2).sum()) / n**2,
+    }

@@ -20,10 +20,23 @@ from unitarity import (
     standard_channel,
     unitary_channel,
 )
-from unitarity.channels import PAULI_X, PAULI_Y, PAULI_Z, KrausChannel
-from unitarity.du import _du_stack, _qubit_du_stack
+from unitarity.channels import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    STANDARD_KINDS,
+    KrausChannel,
+    _canonical_stack,
+)
+from unitarity.du import _bound_stack, _du_stack, _qubit_du_stack
 
-from helpers import DU_MODULE, qubit_du_oracle, random_mixed_unitary_channel, remix_kraus
+from helpers import (
+    DU_MODULE,
+    qubit_du_oracle,
+    random_mixed_unitary_channel,
+    reference_bounds,
+    remix_kraus,
+)
 
 
 class TestExactPath:
@@ -109,6 +122,43 @@ class TestBounds:
         rep = du_bounds(canonicalize(standard_channel("amplitude_damping", 0.7)))
         for w in (rep.witness_lb1, rep.witness_lb2):
             assert np.linalg.norm(w.conj().T @ w - np.eye(2)) <= 1e-9
+
+
+def _padded_kraus(channels) -> np.ndarray:
+    """One (B, K, n, n) stack of the channels' Kraus sets, padded with zero
+    operators to the largest Kraus count."""
+    k = max(ch.n_ops for ch in channels)
+    stack = np.zeros((len(channels), k, channels[0].dim, channels[0].dim), dtype=np.complex128)
+    for row, ch in zip(stack, channels):
+        row[: ch.n_ops] = ch.kraus
+    return stack
+
+
+class TestQubitBoundStage:
+    """The closed-form qubit bound stage against one LAPACK SVD per operator."""
+
+    @staticmethod
+    def check(kraus):
+        _, ops, _ = _canonical_stack(kraus)
+        stack = _bound_stack(ops)
+        for i, channel_ops in enumerate(ops):
+            ref = reference_bounds(channel_ops)
+            for field, want in ref.items():
+                got = getattr(stack, field)[i]
+                assert np.all(np.abs(got - want) <= 1e-14), field
+            for w in stack.witnesses[i]:
+                assert np.linalg.norm(w.conj().T @ w - np.eye(2)) <= 1e-14
+
+    @pytest.mark.parametrize("env_dim", [1, 2, 3, 4])
+    def test_random_batches(self, env_dim):
+        rng = np.random.default_rng(200 + env_dim)
+        self.check(_padded_kraus([random_channel(2, env_dim, rng) for _ in range(64)]))
+
+    def test_standard_families(self):
+        # one stack over the four families, so the zero padding operators and
+        # the rank-deficient amplitude-damping jump operator go through it too
+        grid = np.linspace(0.0, 1.0, 21)
+        self.check(_padded_kraus([standard_channel(k, float(p)) for k in STANDARD_KINDS for p in grid]))
 
 
 class TestOptimizer:

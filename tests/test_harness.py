@@ -36,6 +36,42 @@ from unitarity.io import (
 from helpers import DU_MODULE
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: run_table1(grid=0), "grid", id="table1-grid-0"),
+        pytest.param(lambda: run_tightness(5, chunk=0), "chunk", id="tightness-chunk-0"),
+        pytest.param(lambda: run_tightness(5, chunk=-3), "chunk", id="tightness-chunk-negative"),
+        pytest.param(
+            lambda: run_distribution(5, [2], seed=0, chunk=0), "chunk", id="distribution-chunk-0"
+        ),
+        pytest.param(
+            lambda: run_distribution(5, [2], seed=0, num_bins=0),
+            "num_bins",
+            id="distribution-num-bins-0",
+        ),
+        pytest.param(
+            lambda: run_tightness(5, sys_dim=3, restarts=-1),
+            "restarts",
+            id="tightness-qutrit-restarts-negative",
+        ),
+        pytest.param(
+            lambda: du(random_channel(3, 2, np.random.default_rng(3)), restarts=-1),
+            "restarts",
+            id="du-qutrit-restarts-negative",
+        ),
+        pytest.param(
+            lambda: du(standard_channel("depolarizing", 0.3), restarts=-1),
+            "restarts",
+            id="du-qubit-restarts-negative",
+        ),
+    ],
+)
+def test_driver_arguments_out_of_range_name_the_parameter(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+        call()
+
+
 class TestClosedForm:
     def test_depolarizing_is_dominated_by_identity_branch(self):
         # max(p/4, 1 - 3p/4) equals 1 - 3p/4 throughout [0, 1]; the two

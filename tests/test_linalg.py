@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitarity import linalg
 from unitarity.linalg import (
+    _svd_polar_2x2,
     as_matrix,
     assert_unitary,
     ginibre_stack,
@@ -114,6 +117,73 @@ class TestPolar:
             for _ in range(100):
                 v = haar_unitary(4, rng)
                 assert abs(np.vdot(v, a)) <= nuclear + 1e-9
+
+
+def _two_by_two(kind: str, seed: int, log_scale: float) -> np.ndarray:
+    """A 2x2 matrix of the given structure, scaled by 10**log_scale."""
+    rng = np.random.default_rng(seed)
+    u, v = haar_unitary(2, rng), haar_unitary(2, rng)
+    if kind == "ginibre":
+        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    elif kind == "rank_one":
+        m = np.outer(u[:, 0], v[0].conj())
+    elif kind == "scaled_unitary":
+        m = u
+    else:  # "near_degenerate": s1 - s2 about 1e-10 s1
+        m = (u * [1.0, 1.0 - 1e-10]) @ v
+    return m * 10.0**log_scale
+
+
+class TestSvdPolar2x2:
+    """The closed-form qubit kernel against LAPACK. Any warning, a division by
+    zero included, fails these tests (pytest runs with filterwarnings=error)."""
+
+    EXPLICIT = {
+        "zero": np.zeros((2, 2)),
+        "rank_one_det_exactly_zero": np.array([[1.0, 2j], [0.5, 1j]]),
+        "scaled_unitary": 0.7 * np.exp(0.3j) * np.array([[0.6, -0.8], [0.8, 0.6]]),
+        "gap_1e-10_s1": np.array([[0.6, -0.8j], [0.8, 0.6j]]) @ np.diag([2.0, 2.0 - 2e-10]),
+        "negative_real_det": np.array([[1.0, 0.0], [0.0, -0.5]]),
+        "negative_real_det_offdiagonal": np.array([[0.0, 2.0], [3.0, 0.0]]),
+    }
+
+    @staticmethod
+    def check(m):
+        m = np.asarray(m, dtype=np.complex128)
+        s, w = _svd_polar_2x2(m)
+        ref = np.linalg.svd(m, compute_uv=False)
+        tol = 1e-14 * max(1.0, ref[0])
+        assert np.all(np.abs(s - ref) <= tol)
+        assert s[0] >= s[1] >= 0.0
+        assert np.linalg.norm(w.conj().T @ w - np.eye(2)) <= 1e-14
+        assert abs(np.vdot(w, m).real - s.sum()) <= tol
+
+    @pytest.mark.parametrize("name", EXPLICIT)
+    def test_explicit_cases(self, name):
+        self.check(self.EXPLICIT[name])
+
+    def test_zero_gets_identity_and_zero_singular_values(self):
+        s, w = _svd_polar_2x2(np.zeros((2, 2), dtype=np.complex128))
+        assert np.array_equal(s, [0.0, 0.0])
+        assert np.array_equal(w, np.eye(2))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["ginibre", "rank_one", "scaled_unitary", "near_degenerate"]),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-8.0, 4.0),
+    )
+    def test_matches_lapack(self, kind, seed, log_scale):
+        self.check(_two_by_two(kind, seed, log_scale))
+
+    def test_stack_matches_matrices_alone(self):
+        stack = np.array(list(self.EXPLICIT.values()), dtype=np.complex128)[:, None]
+        s, w = _svd_polar_2x2(stack)
+        assert s.shape == stack.shape[:-1] and w.shape == stack.shape
+        for i, m in enumerate(stack[:, 0]):
+            alone = _svd_polar_2x2(m)
+            assert np.array_equal(s[i, 0], alone[0])
+            assert np.array_equal(w[i, 0], alone[1])
 
 
 class TestHermitianEig:
