@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_CUTOFF, as_matrix, ginibre_stack, haar_from_ginibre
+from .linalg import RANK_CUTOFF, _svd_polar, as_matrix, ginibre_stack, haar_from_ginibre
 
 # Frobenius tolerance on sum_k E_k† E_k - I for trace preservation.
 TRACE_PRESERVATION_TOL = 1e-9
@@ -268,18 +268,17 @@ def canonicalize(ch: KrausChannel) -> CanonicalKraus:
     )
 
 
-def _unitary_multiples(ops: np.ndarray):
-    """Which operators of a (B, K, n, n) stack satisfy F† F = c I.
+def _unitary_multiples(s: np.ndarray):
+    """Which operators F satisfy F† F = c I, from singular values s (..., n).
 
-    The test holds within PROPORTIONALITY_TOL in Frobenius norm, relative to
-    max(1, tr F† F); a zero operator passes. Returns the (B, K) flags and
-    c = tr(F† F) / n.
+    F† F = V diag(s^2) V†, so ||F† F - c I||_F = ||s^2 - mean(s^2)||_2. The
+    test holds within PROPORTIONALITY_TOL, relative to max(1, tr F† F); a
+    zero operator passes. Returns the (...) flags and c = tr(F† F) / n.
     """
-    n = ops.shape[-1]
-    gram = np.einsum("bkli,bklj->bkij", ops.conj(), ops)
-    c = np.einsum("bkii->bk", gram).real / n
-    dev = np.linalg.norm(gram - c[..., None, None] * np.eye(n), axis=(-2, -1))
-    return dev <= PROPORTIONALITY_TOL * np.maximum(1.0, c * n), c
+    sq = s * s
+    c = sq.mean(axis=-1)
+    dev = np.linalg.norm(sq - c[..., None], axis=-1)
+    return dev <= PROPORTIONALITY_TOL * np.maximum(1.0, c * s.shape[-1]), c
 
 
 def as_mixed_unitary(ck: CanonicalKraus) -> MixedUnitaryForm | None:
@@ -290,23 +289,17 @@ def as_mixed_unitary(ck: CanonicalKraus) -> MixedUnitaryForm | None:
     DU core's test. Returns None when any operator fails; this is the
     regular "not mixed-unitary" outcome, not an error.
     """
-    n = ck.dim
-    ok, c = _unitary_multiples(np.stack(ck.ops)[None])
+    ok, c = _unitary_multiples(_svd_polar(np.stack(ck.ops))[0])
     if not ok.all():
         return None
-    unitaries = []
-    coeffs = []
-    for f_op, c_k in zip(ck.ops, c[0]):
-        a = np.sqrt(max(c_k, 0.0))
+    unitaries, coeffs = [], []
+    for f_op, a in zip(ck.ops, np.sqrt(c)):
         u = f_op / a
-        flat = u.ravel()
-        first = flat[np.abs(flat) > 1e-12]
+        first = u[np.abs(u) > 1e-12]  # row-major
         phase = first[0] / abs(first[0]) if first.size else 1.0
         unitaries.append(np.ascontiguousarray(u / phase))
         coeffs.append(a * phase)
-    return MixedUnitaryForm(
-        dim=n, unitaries=tuple(unitaries), coefficients=np.asarray(coeffs)
-    )
+    return MixedUnitaryForm(dim=ck.dim, unitaries=tuple(unitaries), coefficients=np.asarray(coeffs))
 
 
 def standard_channel(kind: str, param: float) -> KrausChannel:

@@ -10,11 +10,12 @@ the whole stack:
 
 1. the canonical orthogonal Kraus form (one batched ``eigh``);
 2. certified lower/upper bounds from the singular values of the canonical
-   operators and the polar-decomposition nearest unitaries: for qubits in
-   closed form from each operator's determinant and adjugate, with no
-   LAPACK call, otherwise by batched SVDs;
+   operators and their polar-decomposition nearest unitaries, all from one
+   call of the kernel :func:`~unitarity.linalg._svd_polar` (closed form for
+   qubits, one batched SVD otherwise);
 3. the exact value for channels whose canonical operators are all
-   proportional to unitaries (max_k |alpha_k|^2 with witness U_k);
+   proportional to unitaries (all singular values of each equal, read from
+   stage 2): max_k |alpha_k|^2 = w_0 / n with the lb1 witness polar(F_0);
 4. the exact value for every other qubit channel. A qubit unitary is a
    phase times x0 I + i x.sigma with x a real unit 4-vector, so the
    objective is x^T A x for a real symmetric PSD 4x4 matrix A, and
@@ -52,7 +53,7 @@ from .channels import (
     _unitary_multiples,
     require_trace_preserving,
 )
-from .linalg import _svd_polar_2x2, ginibre_stack, haar_from_ginibre
+from .linalg import _svd_polar, ginibre_stack, haar_from_ginibre
 
 EXACT_METHOD = "exact_mixed_unitary"
 QUBIT_METHOD = "exact_qubit"
@@ -164,31 +165,18 @@ def _bound_report(s, i: int) -> BoundReport:
     )
 
 
-def _polar_unitary_stack(a: np.ndarray) -> np.ndarray:
-    """Unitary polar factors of a stack of square matrices."""
-    u, _, vh = np.linalg.svd(a)
-    return u @ vh
-
-
 def _bound_stack(ops: np.ndarray) -> _BoundStack:
     """Bounds of a (B, K, n, n) stack of canonical operators.
 
-    For n >= 3, one batched SVD of every operator and one stacked polar of
-    both witnesses. For qubits the closed-form 2x2 kernel
-    :func:`~unitarity.linalg._svd_polar_2x2` gives the singular values and
-    polar factors of every operator, with no LAPACK call.
+    One :func:`~unitarity.linalg._svd_polar` call gives the singular values
+    and polar factors of every operator, at every n; :func:`_du_stack` reads
+    its exact mixed-unitary test from the same singular values.
     """
     n = ops.shape[-1]
-    if n == 2:
-        svals, polars = _svd_polar_2x2(ops)
-        nuc = svals.sum(axis=-1)
-        # per channel, operator 0 and the one of largest nuclear norm
-        w = polars[np.arange(len(ops))[:, None], np.argmax(nuc, axis=1)[:, None] * [0, 1]]
-    else:
-        svals = np.linalg.svd(ops, compute_uv=False)
-        nuc = svals.sum(axis=-1)
-        lead = np.stack([ops[:, 0], ops[np.arange(len(ops)), np.argmax(nuc, axis=1)]], axis=1)
-        w = _polar_unitary_stack(lead)
+    svals, polars = _svd_polar(ops)
+    nuc = svals.sum(axis=-1)
+    # per channel, operator 0 and the one of largest nuclear norm
+    w = polars[np.arange(len(ops))[:, None], np.argmax(nuc, axis=1)[:, None] * [0, 1]]
     lb = (np.abs(np.einsum("bkij,bwij->bwk", ops.conj(), w)) ** 2).sum(axis=-1) / n**2
     return _BoundStack(
         singular_values=svals,
@@ -225,9 +213,9 @@ def _qubit_du_stack(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[:, -1] / 4.0, witnesses
 
 
-def _require_restarts(restarts: int) -> None:
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
+def _require_at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _ascend(
@@ -261,7 +249,8 @@ def _ascend(
     f = (np.abs(ov) ** 2).sum(axis=-1).ravel()
     sweeps = np.zeros(a * p, dtype=int)
     active = np.ones(a * p, dtype=bool)
-    traces = [[float(v)] for v in f] if want_trace else None
+    # f of every start after each sweep; a retired start's f stays fixed
+    history = [f.copy()] if want_trace else None
     iterations = 0
     while active.any() and iterations < MAX_ITERATIONS:
         idx = np.flatnonzero(active)
@@ -270,7 +259,7 @@ def _ascend(
         live = slice(None) if ascending.all() else np.flatnonzero(ascending)
         act = by_channel[live]
         g = (ov[live] @ flat[live])[act]
-        u.reshape(-1, n * n)[idx] = _polar_unitary_stack(g.reshape(-1, n, n)).reshape(-1, n * n)
+        u.reshape(-1, n * n)[idx] = _svd_polar(g.reshape(-1, n, n))[1].reshape(-1, n * n)
         ov[live] = ov_live = u[live] @ flat_h[live]
         f_new = (np.abs(ov_live[act]) ** 2).sum(axis=-1)
         f_old = f[idx]
@@ -282,15 +271,14 @@ def _ascend(
         sweeps[idx] = iterations
         active[idx[np.abs(delta) < CONVERGENCE_TOL]] = False
         if want_trace:
-            for i, val in zip(idx, f_new):
-                traces[i].append(float(val))
+            history.append(f.copy())
     best = np.argmax(f.reshape(a, p), axis=1) + p * np.arange(a)
     return (
         f[best] / n**2,
         u.reshape(-1, n, n)[best],
         sweeps[best],
         ~active[best],
-        [traces[i] for i in best] if want_trace else None,
+        [np.array(history)[: sweeps[i] + 1, i].tolist() for i in best] if want_trace else None,
     )
 
 
@@ -315,7 +303,7 @@ def du_optimize(
     deterministic.
     """
     require_trace_preserving(ch)
-    _require_restarts(restarts)
+    _require_at_least("restarts", restarts, 0)
     if rng is None:
         rng = np.random.default_rng(0)
     _, ops, _ = _canonical_stack(np.stack(ch.kraus)[None])
@@ -360,20 +348,19 @@ def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
     Raises ArithmeticError when a value escapes its bounds by more than
     BOUND_SLACK, and ValueError when ``restarts`` is negative.
     """
-    _require_restarts(restarts)
+    _require_at_least("restarts", restarts, 0)
     n = kraus.shape[-1]
     weights, ops, _ = _canonical_stack(kraus)
     bounds = _bound_stack(ops)
-    ok, c = _unitary_multiples(ops)
-    exact = ok.all(axis=1)
+    exact = _unitary_multiples(bounds.singular_values)[0].all(axis=1)
 
-    value = np.empty(len(ops))
-    witness = np.empty((len(ops), n, n), dtype=np.complex128)
+    # the exact route's value and witness, which the other routes overwrite:
+    # the leading operator has the largest weight, |alpha_0|^2 = weight / n,
+    # and its polar factor, the lb1 witness, is phase * U_0
+    value = weights[:, 0] / n
+    witness = bounds.witnesses[:, 0].copy()
     iterations = np.zeros(len(ops), dtype=int)
     converged = np.ones(len(ops), dtype=bool)
-    # the leading operator has the largest weight, |alpha_0|^2 = weight / n
-    value[exact] = weights[exact, 0] / n
-    witness[exact] = ops[exact, 0] / np.sqrt(c[exact, 0])[:, None, None]
 
     todo = np.flatnonzero(~exact)
     if todo.size and n == 2:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import STANDARD_KINDS, KrausChannel, _dilation_kraus_stack, standard_channel
-from .du import _du_stack, _DuStack, du
+from .du import _du_stack, _DuStack, _require_at_least, du
 
 CHANNEL_FAMILIES = STANDARD_KINDS
 
@@ -75,8 +75,7 @@ class Table1Report:
 def run_table1(grid: int = 51, restarts: int = 8) -> Table1Report:
     """Dispatcher DU vs closed form for every standard family over a grid of
     ``grid`` >= 1 points."""
-    if grid < 1:
-        raise ValueError(f"grid must be >= 1, got {grid}")
+    _require_at_least("grid", grid, 1)
     rows = []
     for family in CHANNEL_FAMILIES:
         for p in np.linspace(0.0, 1.0, grid):
@@ -302,10 +301,10 @@ def run_tightness(
     ``underfilled``, never fabricated. ``bin_width`` must be a finite
     number above 0, and with stratification leave at least one bin.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    _require_at_least("samples", samples, 1)
+    _require_at_least("chunk", chunk, 1)
+    _require_at_least("attempt_cap", attempt_cap, 1)
+    _require_at_least("seed", seed, 0)
     if not (math.isfinite(bin_width) and bin_width > 0):
         raise ValueError(f"bin_width must be a finite number > 0, got {bin_width!r}")
     lo = 1.0 / sys_dim**2
@@ -409,12 +408,13 @@ def run_distribution(
     (default) or the first lower bound; the other column's mean is recorded
     alongside either way.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    if num_bins < 1:
-        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
+    _require_at_least("samples", samples, 1)
+    _require_at_least("chunk", chunk, 1)
+    _require_at_least("seed", seed, 0)
+    _require_at_least("num_bins", num_bins, 1)
+    env_dims = tuple(env_dims)
+    if not env_dims:
+        raise ValueError("env_dims must be nonempty")
     if du_column not in ("dispatcher", "lb1"):
         raise ValueError(f"du_column must be 'dispatcher' or 'lb1', got {du_column!r}")
     lo = 1.0 / sys_dim**2

@@ -4,6 +4,10 @@ Everything operates on plain numpy ``complex128`` arrays in row-major order.
 Spectral outputs (singular values, Hermitian eigenvalues) are always sorted
 in descending order so downstream results serialize deterministically.
 
+The DU core takes every singular value and polar factor from one kernel,
+:func:`_svd_polar`, the only choice of algorithm by size: the closed form
+:func:`_svd_polar_2x2` at 2x2 (no LAPACK call), else one batched SVD.
+
 Haar sampling has one path: :func:`ginibre_stack` draws the Gaussian
 entries, one ``standard_normal`` call per generator, and
 :func:`haar_from_ginibre` turns the whole stack into Haar unitaries with one
@@ -127,6 +131,16 @@ def _svd_polar_2x2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p = np.where(zero, _EYE_FLAT, p)
         total = np.where(zero, 1.0, total)
     return s, (p / total).reshape(m.shape)
+
+
+def _svd_polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values (..., n), descending, and unitary polar factors
+    (..., n, n) of a complex128 stack of square matrices: the closed form
+    at 2x2, else one batched SVD with polar factor u @ vh."""
+    if m.shape[-1] == 2:
+        return _svd_polar_2x2(m)
+    u, s, vh = np.linalg.svd(m)
+    return s, u @ vh
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:

@@ -133,3 +133,17 @@ def reference_bounds(ops: np.ndarray) -> dict:
         "lb2": lower_bound(ops[int(np.argmax(nuc))]),
         "ub": float((nuc**2).sum()) / n**2,
     }
+
+
+def reference_unitary_multiples(ops: np.ndarray):
+    """Which operators of a (..., n, n) stack satisfy F† F = c I, by the Gram
+    matrix: ||F† F - c I||_F <= PROPORTIONALITY_TOL * max(1, tr F† F) with
+    c = tr(F† F) / n. The library decides the same test from singular values.
+    Returns the flags and c."""
+    from unitarity.channels import PROPORTIONALITY_TOL
+
+    n = ops.shape[-1]
+    gram = np.einsum("...li,...lj->...ij", ops.conj(), ops)
+    c = np.einsum("...ii->...", gram).real / n
+    dev = np.linalg.norm(gram - c[..., None, None] * np.eye(n), axis=(-2, -1))
+    return dev <= PROPORTIONALITY_TOL * np.maximum(1.0, c * n), c

@@ -18,9 +18,21 @@ from unitarity import (
     unitary_channel,
     validate,
 )
-from unitarity.channels import PAULI_X, _dilation_kraus_stack
+from unitarity.channels import (
+    PAULI_X,
+    PROPORTIONALITY_TOL,
+    _canonical_stack,
+    _dilation_kraus_stack,
+    _unitary_multiples,
+)
+from unitarity.linalg import _svd_polar, haar_unitary
 
-from helpers import random_mixed_unitary_channel, random_su2, reference_dilation_kraus
+from helpers import (
+    random_mixed_unitary_channel,
+    random_su2,
+    reference_dilation_kraus,
+    reference_unitary_multiples,
+)
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 
@@ -246,6 +258,70 @@ class TestMixedUnitary:
             first = flat[np.abs(flat) > 1e-12][0]
             assert first.real > 0
             assert abs(first.imag) <= 1e-12
+
+
+def _weyl_operators(n: int) -> list[np.ndarray]:
+    """The n^2 pairwise-orthogonal unitaries shift^a clock^b."""
+    shift = np.roll(np.eye(n), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    return [
+        np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+        for a in range(n)
+        for b in range(n)
+    ]
+
+
+class TestUnitaryMultiples:
+    """The singular-value test for F† F = c I against the Gram-matrix reference."""
+
+    @staticmethod
+    def flags(ops):
+        got, c = _unitary_multiples(_svd_polar(ops)[0])
+        want, c_ref = reference_unitary_multiples(ops)
+        assert np.array_equal(got, want)
+        assert np.all(np.abs(c - c_ref) <= 1e-14)
+        return got
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_mixed_unitary_channels_pass(self, n):
+        rng = np.random.default_rng(40 + n)
+        weyl = _weyl_operators(n)
+        for _ in range(10):
+            k = int(rng.integers(2, n * n + 1))
+            v = haar_unitary(n, rng)
+            unitaries = [v @ weyl[i] @ v.conj().T for i in rng.choice(n * n, k, replace=False)]
+            ch = convex_unitary_mixture(unitaries, rng.dirichlet(np.ones(k)))
+            _, ops, _ = _canonical_stack(np.stack(ch.kraus)[None])
+            assert self.flags(ops).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_haar_dilation_channels_fail(self, n):
+        rng = np.random.default_rng(50 + n)
+        kraus = np.stack([np.stack(random_channel(n, 3, rng).kraus) for _ in range(8)])
+        _, ops, _ = _canonical_stack(kraus)
+        assert not self.flags(ops).any()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_zero_operators_pass(self, n):
+        ch = convex_unitary_mixture(_weyl_operators(n)[:2], [0.3, 0.7])
+        ops = np.concatenate([np.stack(ch.kraus), np.zeros((2, n, n), dtype=np.complex128)])
+        assert self.flags(ops).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("weight", [1.0, 0.3])
+    @pytest.mark.parametrize("times_tol, passes", [(0.5, True), (2.0, False)])
+    def test_both_sides_of_the_threshold(self, n, weight, times_tol, passes):
+        # F = sqrt(weight) U diag(sqrt(1 + delta v)) W with mean(v) = 0 and
+        # |v| = 1, so c = weight, ||F† F - c I||_F = weight * delta and the
+        # test's threshold is PROPORTIONALITY_TOL * max(1, weight * n)
+        rng = np.random.default_rng(60 + n)
+        v = np.zeros(n)
+        v[:2] = [1.0, -1.0]
+        v /= np.sqrt(2.0)
+        delta = times_tol * PROPORTIONALITY_TOL * max(1.0, weight * n) / weight
+        u, w = haar_unitary(n, rng), haar_unitary(n, rng)
+        f = np.sqrt(weight) * (u * np.sqrt(1.0 + delta * v)) @ w
+        assert self.flags(f[None]).tolist() == [passes]
 
 
 class TestStandardChannels:

@@ -27,14 +27,17 @@ from unitarity.channels import (
     STANDARD_KINDS,
     KrausChannel,
     _canonical_stack,
+    _unitary_multiples,
 )
 from unitarity.du import _bound_stack, _du_stack, _qubit_du_stack
+from unitarity.linalg import _svd_polar
 
 from helpers import (
     DU_MODULE,
     qubit_du_oracle,
     random_mixed_unitary_channel,
     reference_bounds,
+    reference_unitary_multiples,
     remix_kraus,
 )
 
@@ -77,6 +80,23 @@ class TestExactPath:
             ch = random_mixed_unitary_channel(rng)
             res = du_exact_mixed_unitary(as_mixed_unitary(canonicalize(ch)))
             assert abs(process_fidelity(ch, res.witness) - res.value) <= 1e-9
+
+    def test_leading_unitary_multiple_alone_is_not_exact(self):
+        # p S rho S† + (1 - p) D(rho) on a qutrit, with S the cyclic shift and
+        # D's operators of rank 1 on entries S leaves zero: the leading
+        # canonical operator sqrt(p) S is a unitary multiple, no other one is
+        p, q = 0.5, 0.3
+        unit = [[np.outer(a, b) for b in np.eye(3)] for a in np.eye(3)]
+        shift = unit[0][1] + unit[1][2] + unit[2][0]
+        rest = [np.sqrt(q) * unit[0][0], unit[1][1], unit[2][2], np.sqrt(1 - q) * unit[1][0]]
+        ch = KrausChannel(3, (np.sqrt(p) * shift, *(np.sqrt(1 - p) * m for m in rest)))
+        ck = canonicalize(ch)
+        ops = np.stack(ck.ops)
+        flags = _unitary_multiples(_svd_polar(ops)[0])[0]
+        assert flags.tolist() == reference_unitary_multiples(ops)[0].tolist()
+        assert flags.tolist() == [True, False, False, False, False]
+        assert as_mixed_unitary(ck) is None
+        assert du(ch, restarts=2)[0].method == "numerical_optimizer"
 
 
 class TestBounds:
@@ -135,7 +155,8 @@ def _padded_kraus(channels) -> np.ndarray:
 
 
 class TestQubitBoundStage:
-    """The closed-form qubit bound stage against one LAPACK SVD per operator."""
+    """The bound stage, closed form for qubits and batched SVDs above,
+    against one LAPACK SVD per operator."""
 
     @staticmethod
     def check(kraus):
@@ -147,12 +168,18 @@ class TestQubitBoundStage:
                 got = getattr(stack, field)[i]
                 assert np.all(np.abs(got - want) <= 1e-14), field
             for w in stack.witnesses[i]:
-                assert np.linalg.norm(w.conj().T @ w - np.eye(2)) <= 1e-14
+                assert np.linalg.norm(w.conj().T @ w - np.eye(len(w))) <= 1e-14
 
     @pytest.mark.parametrize("env_dim", [1, 2, 3, 4])
     def test_random_batches(self, env_dim):
         rng = np.random.default_rng(200 + env_dim)
         self.check(_padded_kraus([random_channel(2, env_dim, rng) for _ in range(64)]))
+
+    @pytest.mark.parametrize("sys_dim", [3, 4])
+    def test_random_batches_beyond_qubits(self, sys_dim):
+        # mixed environment sizes, so zero padding operators go through too
+        rng = np.random.default_rng(300 + sys_dim)
+        self.check(_padded_kraus([random_channel(sys_dim, 1 + i % 4, rng) for i in range(32)]))
 
     def test_standard_families(self):
         # one stack over the four families, so the zero padding operators and

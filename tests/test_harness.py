@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,11 +69,44 @@ from helpers import DU_MODULE
             "restarts",
             id="du-qubit-restarts-negative",
         ),
+        pytest.param(
+            lambda: run_tightness(5, stratified=True, attempt_cap=0),
+            "attempt_cap",
+            id="tightness-attempt-cap-0",
+        ),
+        pytest.param(
+            lambda: run_tightness(5, stratified=True, attempt_cap=-3),
+            "attempt_cap",
+            id="tightness-attempt-cap-negative",
+        ),
+        pytest.param(lambda: run_tightness(5, seed=-1), "seed", id="tightness-seed-negative"),
+        pytest.param(
+            lambda: run_distribution(5, [2], seed=-1), "seed", id="distribution-seed-negative"
+        ),
+        pytest.param(
+            lambda: run_distribution(5, [], seed=1), "env_dims", id="distribution-env-dims-empty"
+        ),
     ],
 )
 def test_driver_arguments_out_of_range_name_the_parameter(call, name):
-    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+    with pytest.raises(ValueError, match=f"^{name} must be (>= |nonempty)"):
         call()
+
+
+def test_import_does_not_load_numpy_random():
+    """numpy 2 loads numpy.random on first use, and importing the package must
+    not be that use: it would add to every fresh interpreter's set-up. numpy 1
+    loads it with numpy itself, which leaves nothing to check there."""
+    code = (
+        "import sys, numpy; eager = 'numpy.random' in sys.modules; import unitarity; "
+        "print(eager, 'numpy.random' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    eager, loaded = run.stdout.split()
+    assert eager == "True" or loaded == "False"
 
 
 class TestClosedForm:
