@@ -104,9 +104,9 @@ class CanonicalKraus:
 class MixedUnitaryForm:
     """Channel written as E_k = alpha_k U_k with U_k unitary.
 
-    When derived from the canonical form of a qubit mixed-unitary channel
-    the unitaries are pairwise orthogonal in the Hilbert-Schmidt inner
-    product. For trace-preserving channels sum_k |alpha_k|^2 = 1. Each U_k
+    When derived from a canonical form the unitaries are pairwise orthogonal
+    in the Hilbert-Schmidt inner product, as canonical operators are at every
+    dimension. For trace-preserving channels sum_k |alpha_k|^2 = 1. Each U_k
     carries the fixed phase convention that its first nonzero entry (in
     row-major scan) is real positive.
     """
@@ -347,32 +347,26 @@ def _dilation_kraus_stack(
 
     Each generator draws one Haar unitary U of dimension sys_dim * env_dim
     (all of them factored by one batched QR), and
-    E_k = (I (x) <k|) U (I (x) |env>) for k < env_dim with ``env_state``
-    defaulting to |0>. Returns shape (len(rngs), env_dim, sys_dim, sys_dim).
-    With the default state only the columns of U that |0> selects are
-    formed.
+    E_k = (I (x) <k|) U (I (x) |e>) for k < env_dim, where e is ``env_state``
+    or |0> when it is None. Returns shape (len(rngs), env_dim, sys_dim,
+    sys_dim). Only the columns b * env_dim + t of U with e_t != 0 are formed,
+    and the stack contracts them with those entries of e.
     """
     if sys_dim < 2:
         raise ValueError(f"sys_dim must be >= 2, got {sys_dim}")
     if env_dim < 1:
         raise ValueError(f"env_dim must be >= 1, got {env_dim}")
     n, d = sys_dim, env_dim
-    if env_state is None:
-        # column b * d + 0 of U is system column b with the environment in |0>
-        columns = slice(0, None, d)
-    else:
-        e = np.asarray(env_state, dtype=np.complex128).ravel()
-        if e.shape != (d,):
-            raise ValueError(f"env_state must have length {d}")
-        if abs(np.linalg.norm(e) - 1.0) > 1e-12:
-            raise ValueError("env_state must be normalized")
-        columns = slice(None)
+    e = np.asarray(np.eye(1, d) if env_state is None else env_state, dtype=np.complex128).ravel()
+    if e.shape != (d,):
+        raise ValueError(f"env_state must have length {d}")
+    if abs(np.linalg.norm(e) - 1.0) > 1e-12:
+        raise ValueError("env_state must be normalized")
+    (support,) = np.nonzero(e)
+    # column b * d + t of U is system column b with the environment in |t>
+    columns = (d * np.arange(n)[:, None] + support).ravel()
     u = haar_from_ginibre(ginibre_stack(n * d, rngs)[:, 0], columns)
-    if env_state is None:
-        ops = u.reshape(-1, n, d, n)
-    else:
-        ops = np.einsum("zakbt,t->zakb", u.reshape(-1, n, d, n, d), e)
-    return np.ascontiguousarray(ops.transpose(0, 2, 1, 3))
+    return np.einsum("zakbt,t->zkab", u.reshape(-1, n, d, n, support.size), e[support], order="C")
 
 
 def random_channel(
@@ -384,10 +378,10 @@ def random_channel(
     """Random channel from a Haar unitary on system (x) environment.
 
     Draws a Haar unitary of dimension sys_dim * env_dim, couples the system
-    to the environment prepared in ``env_state`` (default |0>), and traces
-    the environment: E_k = (I (x) <k|) U (I (x) |env>) for k < env_dim.
-    Trace preserving by construction. A batch of one of the samplers'
-    stack, so a sampler record's seed regenerates its channel bit for bit.
+    to the environment in the unit vector ``env_state`` (|0> when None), and
+    traces it out: E_k = (I (x) <k|) U (I (x) |e>) for k < env_dim. Trace
+    preserving by construction. A batch of one of the samplers' stack, so a
+    sampler record's seed regenerates its channel bit for bit.
     """
     ops = _dilation_kraus_stack(sys_dim, env_dim, [rng], env_state)[0]
     return KrausChannel(sys_dim, tuple(ops))

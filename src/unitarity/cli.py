@@ -15,8 +15,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channels import ChannelValidationError, canonicalize, require_trace_preserving, validate
-from .du import du, du_bounds
+from .channels import (TRACE_PRESERVATION_TOL, ChannelValidationError, canonicalize,
+                       require_trace_preserving, validate)
+from .du import DEFAULT_RESTARTS, du, du_bounds
 from .harness import (
     run_distribution,
     run_table1,
@@ -195,12 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check trace preservation of a channel file")
     p.add_argument("channel", help="channel JSON file")
-    p.add_argument("--tol", type=_finite_float(0.0, strict=True), default=1e-9)
+    p.add_argument("--tol", type=_finite_float(0.0, strict=True), default=TRACE_PRESERVATION_TOL)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("du", help="degree of unitarity of a channel file")
     p.add_argument("channel", help="channel JSON file")
-    p.add_argument("--restarts", type=_int_at_least(0), default=32)
+    p.add_argument("--restarts", type=_int_at_least(0), default=DEFAULT_RESTARTS)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_du)
 

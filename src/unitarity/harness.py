@@ -5,11 +5,11 @@ witness.
 The drivers sample channels and aggregate results; every DU and bound comes
 from the one pipeline in :mod:`unitarity.du`.
 
-Both randomized studies sample through one chunked generator, ``_sample``,
-which gives attempt k under a study's spawn key the integer seed
-``attempt_seed(master, key + (k,))``. Results are therefore bit-reproducible
-for a given master seed regardless of chunking, and any single sampled
-channel can be regenerated from the seed stored in its record.
+Both randomized studies sample through one generator, ``_sample``, which
+gives attempt k under a study's spawn key the integer seed
+``attempt_seed(master, key + (k,))``, ``CHUNK`` attempts at a time. Results
+are bit-reproducible for a given master seed, whatever ``CHUNK`` is, and any
+single sampled channel can be regenerated from the seed in its record.
 
 Each chunk is sampled as a batch. A numpy port of ``SeedSequence``'s hash
 runs over the whole chunk at once: it gives every attempt seed, then the
@@ -38,6 +38,10 @@ from .channels import STANDARD_KINDS, KrausChannel, _dilation_kraus_stack, stand
 from .du import _du_stack, _DuStack, _require_at_least, du
 
 CHANNEL_FAMILIES = STANDARD_KINDS
+
+# Attempts per sampled batch. A constant, not an option: no record or count
+# depends on it, and it bounds the memory one batch's stacks take.
+CHUNK = 512
 
 
 def closed_form_du(kind: str, param: float) -> float:
@@ -73,7 +77,7 @@ class Table1Report:
 
 
 def run_table1(grid: int = 51, restarts: int = 8) -> Table1Report:
-    """Dispatcher DU vs closed form for every standard family over a grid of
+    """``du()`` vs closed form for every standard family over a grid of
     ``grid`` >= 1 points."""
     _require_at_least("grid", grid, 1)
     rows = []
@@ -225,11 +229,11 @@ def _evaluate_dilation_batch(sys_dim: int, env_dim: int, seeds, restarts: int) -
 
 
 def _sample(sys_dim: int, env_dim: int, seed: int, key: tuple[int, ...], total: int,
-            chunk: int, restarts: int):
-    """Attempts 0 .. total-1 under spawn key ``key`` of master ``seed``, a
-    chunk at a time: yields each chunk's seeds and its evaluated batch."""
-    for start in range(0, total, chunk):
-        seeds = _attempt_seeds(seed, key, start, min(chunk, total - start))
+            restarts: int):
+    """Attempts 0 .. total-1 under spawn key ``key`` of master ``seed``, ``CHUNK``
+    at a time: yields each chunk's seeds and its evaluated batch."""
+    for start in range(0, total, CHUNK):
+        seeds = _attempt_seeds(seed, key, start, min(CHUNK, total - start))
         yield seeds.tolist(), _evaluate_dilation_batch(sys_dim, env_dim, seeds, restarts)
 
 
@@ -289,7 +293,6 @@ def run_tightness(
     bin_width: float = 0.05,
     attempt_cap: int = 1_000_000,
     restarts: int = 4,
-    chunk: int = 512,
 ) -> TightnessResult:
     """Sample Haar-dilation channels and record DU with its bounds.
 
@@ -302,7 +305,7 @@ def run_tightness(
     number above 0, and with stratification leave at least one bin.
     """
     _require_at_least("samples", samples, 1)
-    _require_at_least("chunk", chunk, 1)
+    _require_at_least("sys_dim", sys_dim, 2)
     _require_at_least("attempt_cap", attempt_cap, 1)
     _require_at_least("seed", seed, 0)
     if not (math.isfinite(bin_width) and bin_width > 0):
@@ -322,7 +325,7 @@ def run_tightness(
     records: list[TightnessRecord] = []
     tally = np.zeros(2, dtype=int)
     attempts = 0
-    for seeds, bulk in _sample(sys_dim, env_dim, seed, (), total, chunk, restarts):
+    for seeds, bulk in _sample(sys_dim, env_dim, seed, (), total, restarts):
         bins = np.minimum(((np.clip(bulk.du, lo, 1.0) - lo) / bin_width).astype(int), n_bins - 1)
         kept = []
         for i, b in enumerate(bins.tolist()):
@@ -399,7 +402,6 @@ def run_distribution(
     sys_dim: int = 2,
     num_bins: int = 30,
     restarts: int = 4,
-    chunk: int = 512,
     du_column: str = "dispatcher",
 ) -> list[DuHistogram]:
     """DU histogram of Haar-dilation random channels for each environment dim.
@@ -409,12 +411,13 @@ def run_distribution(
     alongside either way.
     """
     _require_at_least("samples", samples, 1)
-    _require_at_least("chunk", chunk, 1)
+    _require_at_least("sys_dim", sys_dim, 2)
     _require_at_least("seed", seed, 0)
     _require_at_least("num_bins", num_bins, 1)
     env_dims = tuple(env_dims)
     if not env_dims:
         raise ValueError("env_dims must be nonempty")
+    _require_at_least("env_dims", min(env_dims), 1)
     if du_column not in ("dispatcher", "lb1"):
         raise ValueError(f"du_column must be 'dispatcher' or 'lb1', got {du_column!r}")
     lo = 1.0 / sys_dim**2
@@ -422,7 +425,7 @@ def run_distribution(
     for j, env_dim in enumerate(env_dims):
         parts = []
         tally = np.zeros(2, dtype=int)
-        for _, bulk in _sample(sys_dim, env_dim, seed, (j,), samples, chunk, restarts):
+        for _, bulk in _sample(sys_dim, env_dim, seed, (j,), samples, restarts):
             parts.append((bulk.du, bulk.lb1))
             tally += _tally(bulk)
         values, lb1s = map(np.concatenate, zip(*parts))

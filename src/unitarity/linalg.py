@@ -184,8 +184,8 @@ def haar_from_ginibre(g: np.ndarray, columns=slice(None)) -> np.ndarray:
     Each matrix z = (re + i im) / sqrt(2) is factored as z = QR and the
     R-diagonal phases are pushed into Q (Q * diag(r_jj/|r_jj|)); the raw QR
     convention alone is not Haar (Mezzadri, Notices AMS 54, 2007). Only the
-    requested ``columns`` of each unitary are phased and returned, so the
-    result has shape ``(..., m, len(columns))``. Every matrix comes out bit
+    ``columns`` (a slice or an index array) of each unitary are phased and
+    returned, in shape ``(..., m, len(columns))``. Every matrix comes out bit
     for bit as if it had been factored alone.
     """
     # Each stack is as large as the chunk it serves, so every intermediate

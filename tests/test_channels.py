@@ -400,20 +400,34 @@ def _env_state(d):
     return v / np.linalg.norm(v)
 
 
+def _sparse_env_states(d):
+    """States whose support is a strict subset of the environment basis:
+    |d-1> for d >= 2, and a complex two-entry state for d >= 3."""
+    states = []
+    if d >= 2:
+        states.append(np.eye(1, d, d - 1).ravel())
+    if d >= 3:
+        v = np.zeros(d, dtype=np.complex128)
+        v[[0, d - 1]] = 0.6j, 0.8 * np.exp(0.7j)
+        states.append(v)
+    return states
+
+
 class TestDilationStack:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("with_state", [False, True])
     def test_matches_per_seed_channels(self, n, d, with_state):
         seeds = list(range(40, 52))
-        env = _env_state(d) if with_state else None
-        stack = _dilation_kraus_stack(n, d, [np.random.default_rng(s) for s in seeds], env)
-        assert stack.shape == (len(seeds), d, n, n)
-        for ops, s in zip(stack, seeds):
-            ch = random_channel(n, d, np.random.default_rng(s), env)
-            assert np.array_equal(ops, np.stack(ch.kraus))
-            ref = reference_dilation_kraus(n, d, np.random.default_rng(s), env)
-            assert np.array_equal(ops, ref)
+        envs = [_env_state(d), *_sparse_env_states(d)] if with_state else [None]
+        for env in envs:
+            stack = _dilation_kraus_stack(n, d, [np.random.default_rng(s) for s in seeds], env)
+            assert stack.shape == (len(seeds), d, n, n)
+            for ops, s in zip(stack, seeds):
+                ch = random_channel(n, d, np.random.default_rng(s), env)
+                assert np.array_equal(ops, np.stack(ch.kraus))
+                ref = reference_dilation_kraus(n, d, np.random.default_rng(s), env)
+                assert np.array_equal(ops, ref)
 
     def test_generators_advance_like_per_seed_draws(self):
         rngs = [np.random.default_rng(s) for s in (1, 2)]

@@ -13,6 +13,7 @@ from unitarity import (
     Trajectory,
     closed_form_du,
     du,
+    harness,
     random_channel,
     run_distribution,
     run_table1,
@@ -44,10 +45,16 @@ from helpers import DU_MODULE
     "call, name",
     [
         pytest.param(lambda: run_table1(grid=0), "grid", id="table1-grid-0"),
-        pytest.param(lambda: run_tightness(5, chunk=0), "chunk", id="tightness-chunk-0"),
-        pytest.param(lambda: run_tightness(5, chunk=-3), "chunk", id="tightness-chunk-negative"),
+        pytest.param(lambda: run_tightness(5, sys_dim=0), "sys_dim", id="tightness-sys-dim-0"),
         pytest.param(
-            lambda: run_distribution(5, [2], seed=0, chunk=0), "chunk", id="distribution-chunk-0"
+            lambda: run_distribution(5, [2], seed=1, sys_dim=0),
+            "sys_dim",
+            id="distribution-sys-dim-0",
+        ),
+        pytest.param(
+            lambda: run_distribution(5, [2, 0], seed=1),
+            "env_dims",
+            id="distribution-env-dims-zero",
         ),
         pytest.param(
             lambda: run_distribution(5, [2], seed=0, num_bins=0),
@@ -236,7 +243,7 @@ class TestTightness:
             assert r.du_value <= r.ub + 1e-9
             assert r.lb1 == pytest.approx(r.du_value - r.lb1_err)
 
-    def test_reproducible_and_chunk_invariant(self):
+    def test_reproducible_and_chunk_invariant(self, monkeypatch):
         stratified = dict(samples=45, seed=13, stratified=True, restarts=2)
         cases = [
             (dict(samples=40, seed=77), (7, 512)),
@@ -248,17 +255,22 @@ class TestTightness:
              (7, 64, 512)),
         ]
         for kwargs, chunks in cases:
-            a, *others = (run_tightness(chunk=c, **kwargs) for c in chunks)
+            runs = []
+            for c in chunks:
+                monkeypatch.setattr(harness, "CHUNK", c)
+                runs.append(run_tightness(**kwargs))
+            a, *others = runs
             for b in others:
                 assert b.records == a.records, kwargs
                 assert (b.attempts, b.underfilled, b.nonconverged, b.exact) == (
                     a.attempts, a.underfilled, a.nonconverged, a.exact
                 ), kwargs
 
-    def test_stratified_stops_at_the_attempt_that_fills_the_last_bin(self):
+    def test_stratified_stops_at_the_attempt_that_fills_the_last_bin(self, monkeypatch):
+        monkeypatch.setattr(harness, "CHUNK", 64)
         result = run_tightness(
             samples=12, env_dim=4, seed=13, stratified=True, bin_width=0.25,
-            attempt_cap=4000, restarts=2, chunk=64,
+            attempt_cap=4000, restarts=2,
         )
         assert result.underfilled == {}
         assert len(result.records) == 3 * result.target_per_bin
@@ -388,8 +400,9 @@ class TestDistribution:
         assert hist.exact == 50
         assert hist.nonconverged == 0
 
-    def test_counts_over_chunks(self):
-        h1, h4 = run_distribution(samples=300, env_dims=[1, 4], seed=29, chunk=128)
+    def test_counts_over_chunks(self, monkeypatch):
+        monkeypatch.setattr(harness, "CHUNK", 128)
+        h1, h4 = run_distribution(samples=300, env_dims=[1, 4], seed=29)
         assert (h1.exact, h1.nonconverged) == (300, 0)
         assert h4.nonconverged == 0
         assert h4.exact == 0
@@ -415,9 +428,11 @@ class TestDistribution:
         hist = run_distribution(64, env_dims=[2], seed=1, sys_dim=3, restarts=2)[0]
         assert (hist.sample_count, hist.nonconverged) == (64, 64)
 
-    def test_reproducible(self):
-        a = run_distribution(samples=100, env_dims=[2], seed=23, chunk=17)[0]
-        b = run_distribution(samples=100, env_dims=[2], seed=23, chunk=512)[0]
+    def test_reproducible(self, monkeypatch):
+        monkeypatch.setattr(harness, "CHUNK", 17)
+        a = run_distribution(samples=100, env_dims=[2], seed=23)[0]
+        monkeypatch.setattr(harness, "CHUNK", 512)
+        b = run_distribution(samples=100, env_dims=[2], seed=23)[0]
         assert np.array_equal(a.counts, b.counts)
         assert a.mean == b.mean
 
