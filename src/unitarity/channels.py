@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_CUTOFF, _svd_polar, as_matrix, ginibre_stack, haar_from_ginibre
+from .linalg import RANK_CUTOFF, _require_at_least, _svd_polar, as_matrix
+from .linalg import ginibre_stack, haar_from_ginibre
 
 # Frobenius tolerance on sum_k E_k† E_k - I for trace preservation.
 TRACE_PRESERVATION_TOL = 1e-9
@@ -52,8 +53,7 @@ class KrausChannel:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        _require_at_least("dim", self.dim, 1)
         ops = tuple(as_matrix(op) for op in self.kraus)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
@@ -352,10 +352,8 @@ def _dilation_kraus_stack(
     sys_dim). Only the columns b * env_dim + t of U with e_t != 0 are formed,
     and the stack contracts them with those entries of e.
     """
-    if sys_dim < 2:
-        raise ValueError(f"sys_dim must be >= 2, got {sys_dim}")
-    if env_dim < 1:
-        raise ValueError(f"env_dim must be >= 1, got {env_dim}")
+    _require_at_least("sys_dim", sys_dim, 2)
+    _require_at_least("env_dim", env_dim, 1)
     n, d = sys_dim, env_dim
     e = np.asarray(np.eye(1, d) if env_state is None else env_state, dtype=np.complex128).ravel()
     if e.shape != (d,):

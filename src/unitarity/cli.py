@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--env-dims", type=_dim_list, default="2,4")
     p.add_argument("--bins", type=_int_at_least(1), default=30)
-    p.add_argument("--du-column", choices=("dispatcher", "lb1"), default="dispatcher")
+    p.add_argument("--du-column", choices=("dispatcher", "lb1"), default="dispatcher",
+                   help="bin the DU value (dispatcher) or the first lower bound (lb1)")
     p.add_argument("--out", help="CSV output base path (one file per env dim)")
     p.set_defaults(func=_cmd_distribution)
 

@@ -28,10 +28,13 @@ the whole stack:
    bound witnesses as warm starts, which also guarantees the result never
    falls below the lower bounds.
 
-The public functions are batches of one: :func:`du` is the whole
-pipeline, :func:`du_bounds` stage 2 and :func:`du_optimize` stages 1, 2
-and 5 (the reference the exact routes are tested against). The bulk
-samplers of :mod:`unitarity.harness` feed the pipeline a chunk at a time.
+The stages fill one record, :class:`_DuStack`: stage 2 its bound fields,
+then :func:`_du_stack` each channel's route, decided once, and its DU
+fields. Every consumer reads that record. The public functions are batches
+of one: :func:`du` is the whole pipeline, :func:`du_bounds` stage 2 and
+:func:`du_optimize` stages 1, 2 and 5 (the reference the exact routes are
+tested against). The bulk samplers of :mod:`unitarity.harness` feed the
+pipeline a chunk at a time.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .channels import (
     _unitary_multiples,
     require_trace_preserving,
 )
-from .linalg import _svd_polar, ginibre_stack, haar_from_ginibre
+from .linalg import _require_at_least, _svd_polar, ginibre_stack, haar_from_ginibre
 
 EXACT_METHOD = "exact_mixed_unitary"
 QUBIT_METHOD = "exact_qubit"
@@ -141,8 +144,10 @@ def du_exact_mixed_unitary(mu: MixedUnitaryForm) -> DuResult:
     )
 
 
-class _BoundStack(NamedTuple):
-    """The bound stage over a stack of B canonical Kraus sets."""
+class _DuStack(NamedTuple):
+    """The DU core's one record of a stack of B channels, one entry per
+    channel. :func:`_bound_stack` sets the bound fields and leaves the DU
+    fields at None; the routes fill those in with ``_replace``."""
 
     singular_values: np.ndarray  # (B, K, n)
     lb1: np.ndarray
@@ -150,22 +155,43 @@ class _BoundStack(NamedTuple):
     lb2: np.ndarray
     ub: np.ndarray
     witnesses: np.ndarray  # (B, 2, n, n): the lb1 then the lb2 witness
+    du: np.ndarray | None = None
+    witness: np.ndarray | None = None
+    iterations: np.ndarray | None = None
+    converged: np.ndarray | None = None
+    route: np.ndarray | None = None  # index into _ROUTES
 
 
-def _bound_report(s, i: int) -> BoundReport:
-    """Channel i of a :class:`_BoundStack` or :class:`_DuStack`."""
+# The route labels, in the order the DU core tries them.
+_ROUTES = (EXACT_METHOD, QUBIT_METHOD, OPTIMIZER_METHOD)
+
+
+def _bound_report(s: _DuStack) -> BoundReport:
+    """The bounds of the only channel of a record of one."""
     return BoundReport(
-        lb1=float(s.lb1[i]),
-        lb1_simplified=float(s.lb1_simplified[i]),
-        lb2=float(s.lb2[i]),
-        ub=float(s.ub[i]),
-        singular_values=tuple(sv.copy() for sv in s.singular_values[i]),
-        witness_lb1=s.witnesses[i, 0],
-        witness_lb2=s.witnesses[i, 1],
+        lb1=float(s.lb1[0]),
+        lb1_simplified=float(s.lb1_simplified[0]),
+        lb2=float(s.lb2[0]),
+        ub=float(s.ub[0]),
+        singular_values=tuple(sv.copy() for sv in s.singular_values[0]),
+        witness_lb1=s.witnesses[0, 0],
+        witness_lb2=s.witnesses[0, 1],
     )
 
 
-def _bound_stack(ops: np.ndarray) -> _BoundStack:
+def _du_result(s: _DuStack, objective_trace: tuple[float, ...] | None = None) -> DuResult:
+    """The DU result of the only channel of a record of one."""
+    return DuResult(
+        value=float(s.du[0]),
+        method=_ROUTES[s.route[0]],
+        witness=s.witness[0],
+        iterations=int(s.iterations[0]),
+        converged=bool(s.converged[0]),
+        objective_trace=objective_trace,
+    )
+
+
+def _bound_stack(ops: np.ndarray) -> _DuStack:
     """Bounds of a (B, K, n, n) stack of canonical operators.
 
     One :func:`~unitarity.linalg._svd_polar` call gives the singular values
@@ -178,7 +204,7 @@ def _bound_stack(ops: np.ndarray) -> _BoundStack:
     # per channel, operator 0 and the one of largest nuclear norm
     w = polars[np.arange(len(ops))[:, None], np.argmax(nuc, axis=1)[:, None] * [0, 1]]
     lb = (np.abs(np.einsum("bkij,bwij->bwk", ops.conj(), w)) ** 2).sum(axis=-1) / n**2
-    return _BoundStack(
+    return _DuStack(
         singular_values=svals,
         lb1=lb[:, 0],
         lb1_simplified=nuc[:, 0] ** 2 / n**2,
@@ -190,7 +216,7 @@ def _bound_stack(ops: np.ndarray) -> _BoundStack:
 
 def du_bounds(ck: CanonicalKraus) -> BoundReport:
     """Lower and upper DU bounds for a canonical (orthogonal) Kraus set."""
-    return _bound_report(_bound_stack(np.stack(ck.ops)[None]), 0)
+    return _bound_report(_bound_stack(np.stack(ck.ops)[None]))
 
 
 # Every qubit unitary is a phase times sum_p x_p _QUBIT_BASIS[p] with x a
@@ -211,11 +237,6 @@ def _qubit_du_stack(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(a)
     witnesses = np.einsum("bp,pij->bij", vecs[:, :, -1], _QUBIT_BASIS)
     return vals[:, -1] / 4.0, witnesses
-
-
-def _require_at_least(name: str, value: int, low: int) -> None:
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _ascend(
@@ -282,6 +303,13 @@ def _ascend(
     )
 
 
+def _stack_of_one(ch: KrausChannel, rng: np.random.Generator | None):
+    """The prologue of :func:`du` and :func:`du_optimize`: the trace check, then
+    the Kraus stack of one and its generator (seed 0 when ``rng`` is None)."""
+    require_trace_preserving(ch)
+    return np.stack(ch.kraus)[None], [np.random.default_rng(0) if rng is None else rng]
+
+
 def du_optimize(
     ch: KrausChannel,
     restarts: int = DEFAULT_RESTARTS,
@@ -302,39 +330,16 @@ def du_optimize(
     ``rng`` defaults to a fixed-seed generator so repeated calls are
     deterministic.
     """
-    require_trace_preserving(ch)
+    kraus, rngs = _stack_of_one(ch, rng)
     _require_at_least("restarts", restarts, 0)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    _, ops, _ = _canonical_stack(np.stack(ch.kraus)[None])
+    _, ops, _ = _canonical_stack(kraus)
+    bounds = _bound_stack(ops)
     value, witness, sweeps, converged, traces = _ascend(
-        ops, _bound_stack(ops).witnesses, [rng], restarts, trace
+        ops, bounds.witnesses, rngs, restarts, trace
     )
-    return DuResult(
-        value=float(value[0]),
-        method=OPTIMIZER_METHOD,
-        witness=np.ascontiguousarray(witness[0]),
-        iterations=int(sweeps[0]),
-        converged=bool(converged[0]),
-        objective_trace=tuple(traces[0]) if trace else None,
-    )
-
-
-class _DuStack(NamedTuple):
-    """Results of :func:`_du_stack`, one entry per channel; the bound
-    fields are those of :class:`_BoundStack`."""
-
-    du: np.ndarray
-    witness: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    exact: np.ndarray  # took the exact mixed-unitary route
-    singular_values: np.ndarray
-    lb1: np.ndarray
-    lb1_simplified: np.ndarray
-    lb2: np.ndarray
-    ub: np.ndarray
-    witnesses: np.ndarray
+    s = bounds._replace(du=value, witness=witness, iterations=sweeps, converged=converged,
+                        route=np.full(1, _ROUTES.index(OPTIMIZER_METHOD)))
+    return _du_result(s, tuple(traces[0]) if trace else None)
 
 
 def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
@@ -345,14 +350,16 @@ def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
     mixed-unitary test, the exact qubit kernel for the other qubit
     channels, and for the other channels of dimension 3 and up the ascent,
     whose Haar restarts each channel's generator draws after its channel.
-    Raises ArithmeticError when a value escapes its bounds by more than
-    BOUND_SLACK, and ValueError when ``restarts`` is negative.
+    Each channel's route is decided here, once. Raises ArithmeticError when
+    a value escapes its bounds by more than BOUND_SLACK, and ValueError
+    when ``restarts`` is not an integer of at least 0.
     """
     _require_at_least("restarts", restarts, 0)
     n = kraus.shape[-1]
     weights, ops, _ = _canonical_stack(kraus)
     bounds = _bound_stack(ops)
     exact = _unitary_multiples(bounds.singular_values)[0].all(axis=1)
+    route = np.where(exact, 0, 1 if n == 2 else 2)  # indices into _ROUTES
 
     # the exact route's value and witness, which the other routes overwrite:
     # the leading operator has the largest weight, |alpha_0|^2 = weight / n,
@@ -362,7 +369,7 @@ def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
     iterations = np.zeros(len(ops), dtype=int)
     converged = np.ones(len(ops), dtype=bool)
 
-    todo = np.flatnonzero(~exact)
+    todo = np.flatnonzero(route)
     if todo.size and n == 2:
         value[todo], witness[todo] = _qubit_du_stack(ops[todo])
     elif todo.size:
@@ -377,7 +384,8 @@ def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
         raise ArithmeticError(
             f"DU value {value[i]!r} escapes bounds [{lb[i]!r}, {bounds.ub[i]!r}]"
         )
-    return _DuStack(value, witness, iterations, converged, exact, **bounds._asdict())
+    return bounds._replace(du=value, witness=witness, iterations=iterations,
+                           converged=converged, route=route)
 
 
 def du(
@@ -393,16 +401,5 @@ def du(
     witnesses and ``restarts`` Haar starts drawn from ``rng``. The value is
     checked against the bounds (lb - 1e-9 <= value <= ub + 1e-9).
     """
-    require_trace_preserving(ch)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    s = _du_stack(np.stack(ch.kraus)[None], [rng], restarts)
-    method = EXACT_METHOD if s.exact[0] else QUBIT_METHOD if ch.dim == 2 else OPTIMIZER_METHOD
-    result = DuResult(
-        value=float(s.du[0]),
-        method=method,
-        witness=s.witness[0],
-        iterations=int(s.iterations[0]),
-        converged=bool(s.converged[0]),
-    )
-    return result, _bound_report(s, 0)
+    s = _du_stack(*_stack_of_one(ch, rng), restarts)
+    return _du_result(s), _bound_report(s)

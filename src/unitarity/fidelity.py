@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, kraus_to_chi
-from .linalg import as_matrix, assert_unitary, hermitian_eig
+from .linalg import _require_at_least, as_matrix, assert_unitary, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,7 @@ def average_fidelity_mc(
     Averages <psi| U† E(|psi><psi|) U |psi> over Haar-random pure states
     |psi>; per state this is sum_k |<psi| U† E_k |psi>|^2.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    _require_at_least("samples", samples, 1)
     u = _check_pair(ch, u)
     n = ch.dim
     raw = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
@@ -141,8 +140,5 @@ def average_fidelity_mc(
         amp = np.einsum("si,ij,sj->s", psi.conj(), m, psi)
         per_state += np.abs(amp) ** 2
     value = float(per_state.mean())
-    if samples > 1:
-        std_error = float(per_state.std(ddof=1) / np.sqrt(samples))
-    else:
-        std_error = 0.0
+    std_error = float(per_state.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return MonteCarloFidelity(value=value, std_error=std_error, samples=samples)

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import STANDARD_KINDS, KrausChannel, _dilation_kraus_stack, standard_channel
-from .du import _du_stack, _DuStack, _require_at_least, du
+from .du import _du_stack, _DuStack, du
+from .linalg import _require_at_least
 
 CHANNEL_FAMILIES = STANDARD_KINDS
 
@@ -239,7 +240,7 @@ def _sample(sys_dim: int, env_dim: int, seed: int, key: tuple[int, ...], total: 
 
 def _tally(bulk: _DuStack, kept=slice(None)) -> np.ndarray:
     """[non-converged, exact-path] counts over the entries ``kept`` of a batch."""
-    return np.array([np.count_nonzero(~bulk.converged[kept]), np.count_nonzero(bulk.exact[kept])])
+    return np.array([np.sum(~bulk.converged[kept]), np.sum(bulk.route[kept] == 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +371,8 @@ def _records(bulk: _DuStack, kept: list[int], seeds: list[int]) -> list[Tightnes
 class DuHistogram:
     """Binned DU samples for one environment dimension.
 
+    ``mean`` and ``std_error`` are the sample mean of the binned column
+    ``du_column`` (``"dispatcher"``: the DU value) and its standard error.
     ``nonconverged`` counts the samples whose ascent hit its iteration cap,
     and ``exact`` the samples that took the exact mixed-unitary path.
     """
@@ -379,20 +382,12 @@ class DuHistogram:
     counts: np.ndarray
     sample_count: int
     mean: float
+    std_error: float
     seed: int
     du_column: str = "dispatcher"
     mean_lb1: float = float("nan")
     nonconverged: int = 0
     exact: int = 0
-
-    @property
-    def std_error(self) -> float:
-        """Standard error of the recorded mean (from the binned values)."""
-        mids = 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-        var = float(np.sum(self.counts * (mids - self.mean) ** 2)) / max(
-            1, self.sample_count - 1
-        )
-        return math.sqrt(var / self.sample_count)
 
 
 def run_distribution(
@@ -406,9 +401,9 @@ def run_distribution(
 ) -> list[DuHistogram]:
     """DU histogram of Haar-dilation random channels for each environment dim.
 
-    ``du_column`` selects what the histogram bins: the dispatcher value
-    (default) or the first lower bound; the other column's mean is recorded
-    alongside either way.
+    ``du_column`` selects what the histogram bins: ``"dispatcher"`` (the
+    default) for the DU value, ``"lb1"`` for the first lower bound; the
+    first lower bound's mean is recorded alongside either way.
     """
     _require_at_least("samples", samples, 1)
     _require_at_least("sys_dim", sys_dim, 2)
@@ -417,7 +412,8 @@ def run_distribution(
     env_dims = tuple(env_dims)
     if not env_dims:
         raise ValueError("env_dims must be nonempty")
-    _require_at_least("env_dims", min(env_dims), 1)
+    for env_dim in env_dims:
+        _require_at_least("env_dims", env_dim, 1)
     if du_column not in ("dispatcher", "lb1"):
         raise ValueError(f"du_column must be 'dispatcher' or 'lb1', got {du_column!r}")
     lo = 1.0 / sys_dim**2
@@ -440,6 +436,7 @@ def run_distribution(
                 counts=counts,
                 sample_count=samples,
                 mean=float(binned.mean()),
+                std_error=float(binned.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0,
                 seed=seed,
                 du_column=du_column,
                 mean_lb1=float(lb1s.mean()),

@@ -17,6 +17,7 @@ the same unitaries whether they are drawn one at a time or as a stack.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +30,16 @@ HERMITIAN_TOL = 1e-9
 # Singular values / eigenvalue weights below this count as zero in rank
 # decisions (double-precision noise floor).
 RANK_CUTOFF = 1e-12
+
+
+def _require_at_least(name: str, value, low: int) -> None:
+    """ValueError naming ``name`` unless ``value`` is an integer >= ``low``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 class PolarFactors(NamedTuple):
@@ -169,8 +180,7 @@ def ginibre_stack(dim: int, rngs, count: int = 1) -> np.ndarray:
     ``standard_normal`` call, which consumes its stream exactly as ``count``
     sequential :func:`haar_unitary` calls would.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    _require_at_least("dim", dim, 1)
     g = np.empty((len(rngs), count, 2, dim, dim))
     for block, rng in zip(g, rngs):
         rng.standard_normal(out=block)
@@ -216,8 +226,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random pure state: a normalized complex Gaussian vector."""
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    _require_at_least("dim", dim, 1)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 

@@ -1,11 +1,14 @@
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from unitarity import random_channel, standard_channel
-from unitarity.cli import main
+from unitarity.cli import build_parser, main
 from unitarity.io import channel_to_obj, load_channel, save_channel
 
 from helpers import DU_MODULE
@@ -153,6 +156,32 @@ class TestRandomizedCommands:
         assert lines[1].endswith("samples=30 nonconverged=0 exact=30")
         assert lines[2].startswith("env_dim=2: ")
         assert lines[2].endswith("samples=30 nonconverged=0 exact=0")
+
+
+def _readme_synopsis() -> dict[str, str]:
+    """The README's CLI block, one entry per subcommand with its continuation lines."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    synopsis = {}
+    for line in block.splitlines():
+        if line.startswith("unitarity "):
+            command = line.split()[1]
+            synopsis[command] = line
+        else:
+            synopsis[command] += " " + line.strip()
+    return synopsis
+
+
+def test_readme_synopsis_lists_every_long_option():
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    synopsis = _readme_synopsis()
+    assert synopsis.keys() == commands.choices.keys()
+    for command, parser in commands.choices.items():
+        options = {
+            s for a in parser._actions for s in a.option_strings
+            if s.startswith("--") and s != "--help"
+        }
+        assert set(re.findall(r"--[a-z][\w-]*", synopsis[command])) == options, command
 
 
 class TestArgumentRanges:

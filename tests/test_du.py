@@ -29,7 +29,7 @@ from unitarity.channels import (
     _canonical_stack,
     _unitary_multiples,
 )
-from unitarity.du import _bound_stack, _du_stack, _qubit_du_stack
+from unitarity.du import _bound_stack, _du_stack, _DuStack, _qubit_du_stack
 from unitarity.linalg import _svd_polar
 
 from helpers import (
@@ -456,8 +456,8 @@ class TestCoreProperties:
         stack = _core(kraus, seed, restarts=2)
         for i in range(count):
             alone = _du_stack(kraus[i : i + 1], [np.random.default_rng([seed, i])], 2)
-            for field in ("du", "lb1", "lb2", "ub"):
-                assert getattr(alone, field)[0] == getattr(stack, field)[i]
+            for field in _DuStack._fields:
+                assert np.array_equal(getattr(alone, field)[0], getattr(stack, field)[i]), field
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(**CORE_CASES)

@@ -22,7 +22,7 @@ from unitarity import (
     standard_channel,
 )
 from unitarity.channels import _dilation_kraus_stack
-from unitarity.du import _du_stack
+from unitarity.du import _ROUTES, _du_stack
 from unitarity.harness import (
     _attempt_seeds,
     _evaluate_dilation_batch,
@@ -100,6 +100,33 @@ def test_driver_arguments_out_of_range_name_the_parameter(call, name):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: run_tightness(5, env_dim=2.0), "env_dim", id="tightness-env-dim"),
+        pytest.param(lambda: run_tightness(5, sys_dim=2.5), "sys_dim", id="tightness-sys-dim"),
+        pytest.param(lambda: run_tightness(2.5), "samples", id="tightness-samples"),
+        pytest.param(lambda: run_tightness(5, seed=1.5), "seed", id="tightness-seed"),
+        pytest.param(
+            lambda: run_distribution(5, [2.5], seed=1), "env_dims", id="distribution-env-dims"
+        ),
+        pytest.param(
+            lambda: run_distribution(5, [2], seed=1, num_bins=3.0),
+            "num_bins",
+            id="distribution-num-bins",
+        ),
+        pytest.param(
+            lambda: du(standard_channel("depolarizing", 0.3), restarts=2.0),
+            "restarts",
+            id="du-qubit-restarts",
+        ),
+    ],
+)
+def test_non_integer_arguments_name_the_parameter(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
 def test_import_does_not_load_numpy_random():
     """numpy 2 loads numpy.random on first use, and importing the package must
     not be that use: it would add to every fresh interpreter's set-up. numpy 1
@@ -158,8 +185,8 @@ class TestTable1:
 
 class TestBulkEvaluator:
     def test_matches_dispatcher(self):
-        # the samplers' vectorized pipeline must agree with the public
-        # per-channel dispatcher, consuming the per-seed rng identically
+        # the samplers' batches must give what du() gives for each channel
+        # alone, bit for bit, consuming the per-seed rng identically
         for env in (1, 2, 4):
             seeds = [attempt_seed(99, (env, i)) for i in range(40)]
             bulk = _evaluate_dilation_batch(2, env, seeds, restarts=3)
@@ -167,11 +194,13 @@ class TestBulkEvaluator:
                 rng = np.random.default_rng(s)
                 ch = random_channel(2, env, rng)
                 res, rep = du(ch, restarts=3, rng=rng)
-                assert abs(res.value - bulk.du[i]) <= 1e-9
-                assert abs(rep.lb1 - bulk.lb1[i]) <= 1e-9
-                assert abs(rep.lb2 - bulk.lb2[i]) <= 1e-9
-                assert abs(rep.lb1_simplified - bulk.lb1_simplified[i]) <= 1e-9
-                assert abs(rep.ub - bulk.ub[i]) <= 1e-9
+                assert res.value == bulk.du[i]
+                assert np.array_equal(res.witness, bulk.witness[i])
+                assert res.method == _ROUTES[bulk.route[i]]
+                assert rep.lb1 == bulk.lb1[i]
+                assert rep.lb2 == bulk.lb2[i]
+                assert rep.lb1_simplified == bulk.lb1_simplified[i]
+                assert rep.ub == bulk.ub[i]
 
     def test_env_state_choice_is_distribution_neutral(self):
         # Haar invariance makes the |0> environment convention irrelevant:
@@ -427,6 +456,17 @@ class TestDistribution:
         monkeypatch.setattr(DU_MODULE, "MAX_ITERATIONS", 1)
         hist = run_distribution(64, env_dims=[2], seed=1, sys_dim=3, restarts=2)[0]
         assert (hist.sample_count, hist.nonconverged) == (64, 64)
+
+    @pytest.mark.parametrize("du_column, field", [("dispatcher", "du"), ("lb1", "lb1")])
+    def test_std_error_from_the_samples(self, du_column, field):
+        n = 400
+        hist = run_distribution(n, env_dims=[4], seed=31, du_column=du_column)[0]
+        values = np.concatenate(
+            [getattr(bulk, field) for _, bulk in harness._sample(2, 4, 31, (0,), n, 4)]
+        )
+        assert hist.mean == values.mean()
+        assert hist.std_error == values.std(ddof=1) / math.sqrt(n)
+        assert run_distribution(1, env_dims=[4], seed=31)[0].std_error == 0.0
 
     def test_reproducible(self, monkeypatch):
         monkeypatch.setattr(harness, "CHUNK", 17)
