@@ -51,6 +51,7 @@ def _cmd_du(args) -> int:
             "method": result.method,
             "iterations": result.iterations,
             "converged": result.converged,
+            "sweeps_total": result.sweeps_total,
             "witness": matrix_to_obj(result.witness),
             "lb1": bounds.lb1,
             "lb1_simplified": bounds.lb1_simplified,

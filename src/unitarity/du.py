@@ -26,7 +26,13 @@ the whole stack:
    manifold (U <- polar(sum_k tr(E_k† U) E_k)) is monotonically
    non-decreasing. The ascent runs from Haar-random restarts plus the two
    bound witnesses as warm starts, which also guarantees the result never
-   falls below the lower bounds.
+   falls below the lower bounds. Most starts of a channel climb into the
+   same basin, so after each sweep a start whose unitary matches a better
+   start's up to a global phase retires, one polar factor per basin rather
+   than per start (the multistart rule MLSL, Rinnooy Kan & Timmer 1987).
+   The better start is one that has not retired this way, and the winner is
+   chosen among those too, so it is never a retired start and its sweep
+   count and convergence flag are its own.
 
 The stages fill one record, :class:`_DuStack`: stage 2 its bound fields,
 then :func:`_du_stack` each channel's route, decided once, and its DU
@@ -65,8 +71,12 @@ OPTIMIZER_METHOD = "numerical_optimizer"
 # Orthogonality tolerance on |<U_i, U_k>| for the exact path hypothesis.
 ORTHOGONALITY_TOL = 1e-8
 
-# Ascent stops when the objective improves by less than this per sweep.
+# A start converges when its objective f improves by less than
+# CONVERGENCE_TOL * max(1, f) in a sweep.
 CONVERGENCE_TOL = 1e-12
+# A start retires once its unitary matches a better start of its channel up
+# to a global phase: |<U_a, U_b>| > n (1 - DUPLICATE_TOL).
+DUPLICATE_TOL = 1e-6
 MAX_ITERATIONS = 10_000
 DEFAULT_RESTARTS = 32
 
@@ -85,7 +95,9 @@ class DuResult:
 
     ``iterations`` is the winning start's own sweep count (0 on the exact
     routes), and ``objective_trace``, when requested, that start's objective
-    before and after each sweep.
+    before and after each sweep. ``sweeps_total`` is the sweeps of all starts
+    together, one polar factor each: the ascent's real cost (0 on the exact
+    routes).
     """
 
     value: float
@@ -94,6 +106,7 @@ class DuResult:
     iterations: int
     converged: bool
     objective_trace: tuple[float, ...] | None = None
+    sweeps_total: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +172,7 @@ class _DuStack(NamedTuple):
     witness: np.ndarray | None = None
     iterations: np.ndarray | None = None
     converged: np.ndarray | None = None
+    sweeps_total: np.ndarray | None = None
     route: np.ndarray | None = None  # index into _ROUTES
 
 
@@ -188,6 +202,7 @@ def _du_result(s: _DuStack, objective_trace: tuple[float, ...] | None = None) ->
         iterations=int(s.iterations[0]),
         converged=bool(s.converged[0]),
         objective_trace=objective_trace,
+        sweeps_total=int(s.sweeps_total[0]),
     )
 
 
@@ -249,16 +264,25 @@ def _ascend(
     """Fixed-point ascent of each channel of an (A, K, n, n) canonical stack.
 
     Each channel starts from its warm starts ``warm`` (A, W, n, n) plus
-    ``restarts`` Haar unitaries that its generator draws as one stack. Each
-    start retires on its own once its objective improves by less than
-    CONVERGENCE_TOL in a sweep, and only the starts still ascending are
-    polar-decomposed; no start takes more than MAX_ITERATIONS sweeps.
-    Returns, for each channel's best start, its DU, its unitary, its own
-    sweep count, whether it converged before the cap, and with
-    ``want_trace`` its raw objectives f(U) = sum_k |<U, F_k>|^2 before and
-    after each sweep. An ascent step that decreases the objective beyond
-    floating-point noise indicates a broken update and raises
-    ArithmeticError.
+    ``restarts`` Haar unitaries that its generator draws as one stack, and
+    only the starts still ascending are polar-decomposed. A start retires
+    once its objective f improves by less than CONVERGENCE_TOL * max(1, f)
+    in a sweep, after MAX_ITERATIONS sweeps, or once it has joined a better
+    start: after each sweep, a start whose unitary matches, up to a global
+    phase, one of its channel's starts that has not joined another
+    (|<U_a, U_b>| > n (1 - DUPLICATE_TOL)) and is ahead of it (f_b > f_a,
+    or f_b == f_a and b < a) retires as joined. The winner is the best start
+    that never joined, so its sweep count, convergence flag and trace are
+    its own ascent's; the start ahead of all others that have not joined
+    never joins, so every channel keeps one.
+
+    Returns, for each channel's winner, its DU, its unitary, its own sweep
+    count, whether it converged, and with ``want_trace`` its raw objectives
+    f(U) = sum_k |<U, F_k>|^2 before and after each sweep; and each
+    channel's sweeps over all its starts, which is the number of polar
+    factors the ascent computed for it. An ascent step that decreases the
+    objective beyond floating-point noise indicates a broken update and
+    raises ArithmeticError.
     """
     n = ops.shape[-1]
     u = np.concatenate([warm, haar_from_ginibre(ginibre_stack(n, rngs, restarts))], axis=1)
@@ -270,6 +294,8 @@ def _ascend(
     f = (np.abs(ov) ** 2).sum(axis=-1).ravel()
     sweeps = np.zeros(a * p, dtype=int)
     active = np.ones(a * p, dtype=bool)
+    joined = np.zeros((a, p), dtype=bool)
+    earlier = np.tri(p, k=-1, dtype=bool)  # [a, b]: b < a
     # f of every start after each sweep; a retired start's f stays fixed
     history = [f.copy()] if want_trace else None
     iterations = 0
@@ -281,7 +307,8 @@ def _ascend(
         act = by_channel[live]
         g = (ov[live] @ flat[live])[act]
         u.reshape(-1, n * n)[idx] = _svd_polar(g.reshape(-1, n, n))[1].reshape(-1, n * n)
-        ov[live] = ov_live = u[live] @ flat_h[live]
+        u_live = u[live]
+        ov[live] = ov_live = u_live @ flat_h[live]
         f_new = (np.abs(ov_live[act]) ** 2).sum(axis=-1)
         f_old = f[idx]
         delta = f_new - f_old
@@ -290,16 +317,25 @@ def _ascend(
         f[idx] = f_new
         iterations += 1
         sweeps[idx] = iterations
-        active[idx[np.abs(delta) < CONVERGENCE_TOL]] = False
+        active[idx[np.abs(delta) < CONVERGENCE_TOL * np.maximum(1.0, f_new)]] = False
+        f_live = f.reshape(a, p)[live]
+        ahead = (f_live[:, None, :] > f_live[:, :, None]) | (
+            (f_live[:, None, :] == f_live[:, :, None]) & earlier
+        )
+        same = np.abs(u_live.conj() @ u_live.transpose(0, 2, 1)) > n * (1 - DUPLICATE_TOL)
+        joins = (same & ahead & ~joined[live][:, None, :]).any(axis=2)
+        joined[live] |= joins
+        by_channel[live] &= ~joins
         if want_trace:
             history.append(f.copy())
-    best = np.argmax(f.reshape(a, p), axis=1) + p * np.arange(a)
+    best = np.argmax(np.where(joined, -np.inf, f.reshape(a, p)), axis=1) + p * np.arange(a)
     return (
         f[best] / n**2,
         u.reshape(-1, n, n)[best],
         sweeps[best],
         ~active[best],
         [np.array(history)[: sweeps[i] + 1, i].tolist() for i in best] if want_trace else None,
+        sweeps.reshape(a, p).sum(axis=1),
     )
 
 
@@ -320,8 +356,10 @@ def du_optimize(
     """Numerical DU via monotone fixed-point ascent over the unitary group.
 
     Runs ``restarts`` Haar-random starts plus the two bound witnesses as
-    warm starts; a start is converged when its objective improves by less
-    than CONVERGENCE_TOL in a sweep before MAX_ITERATIONS sweeps.
+    warm starts; a start is converged when its objective f improves by less
+    than CONVERGENCE_TOL * max(1, f) in a sweep before MAX_ITERATIONS
+    sweeps, and retires early once it joins a better start (see
+    :func:`_ascend`).
     ``converged`` reports the best run's own flag.
     With ``trace=True`` the best run's objective sequence is attached.
     Takes the ascent for every channel, so it is the reference for the
@@ -334,10 +372,11 @@ def du_optimize(
     _require_at_least("restarts", restarts, 0)
     _, ops, _ = _canonical_stack(kraus)
     bounds = _bound_stack(ops)
-    value, witness, sweeps, converged, traces = _ascend(
+    value, witness, sweeps, converged, traces, sweeps_total = _ascend(
         ops, bounds.witnesses, rngs, restarts, trace
     )
     s = bounds._replace(du=value, witness=witness, iterations=sweeps, converged=converged,
+                        sweeps_total=sweeps_total,
                         route=np.full(1, _ROUTES.index(OPTIMIZER_METHOD)))
     return _du_result(s, tuple(traces[0]) if trace else None)
 
@@ -368,12 +407,14 @@ def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
     witness = bounds.witnesses[:, 0].copy()
     iterations = np.zeros(len(ops), dtype=int)
     converged = np.ones(len(ops), dtype=bool)
+    sweeps_total = np.zeros(len(ops), dtype=int)
 
     todo = np.flatnonzero(route)
     if todo.size and n == 2:
         value[todo], witness[todo] = _qubit_du_stack(ops[todo])
     elif todo.size:
-        value[todo], witness[todo], iterations[todo], converged[todo], _ = _ascend(
+        (value[todo], witness[todo], iterations[todo], converged[todo], _,
+         sweeps_total[todo]) = _ascend(
             ops[todo], bounds.witnesses[todo], [rngs[b] for b in todo], restarts, False
         )
 
@@ -385,7 +426,7 @@ def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
             f"DU value {value[i]!r} escapes bounds [{lb[i]!r}, {bounds.ub[i]!r}]"
         )
     return bounds._replace(du=value, witness=witness, iterations=iterations,
-                           converged=converged, route=route)
+                           converged=converged, sweeps_total=sweeps_total, route=route)
 
 
 def du(

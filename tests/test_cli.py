@@ -69,6 +69,7 @@ class TestDuCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == pytest.approx(0.81, abs=1e-9)
         assert payload["method"] == "exact_qubit"
+        assert payload["sweeps_total"] == 0
         assert payload["lb1"] == pytest.approx(0.81, abs=1e-12)
         assert payload["ub"] == pytest.approx(0.90, abs=1e-12)
         w = np.asarray(payload["witness"])
@@ -86,6 +87,8 @@ class TestDuCommand:
         assert payload["method"] == "numerical_optimizer"
         assert payload["iterations"] == 1
         assert payload["converged"] is False
+        # two warm starts and two restarts, one sweep each
+        assert payload["sweeps_total"] == 4
 
 
 class TestBoundsCommand:

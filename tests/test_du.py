@@ -29,7 +29,7 @@ from unitarity.channels import (
     _canonical_stack,
     _unitary_multiples,
 )
-from unitarity.du import _bound_stack, _du_stack, _DuStack, _qubit_du_stack
+from unitarity.du import _ascend, _bound_stack, _du_stack, _DuStack, _qubit_du_stack
 from unitarity.linalg import _svd_polar
 
 from helpers import (
@@ -221,10 +221,11 @@ class TestOptimizer:
             opt = du_optimize(ch, restarts=8, rng=rng)
             assert opt.value == pytest.approx(oracle, abs=1e-9)
 
-    def test_objective_trace_monotone(self):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_objective_trace_monotone(self, n):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            ch = random_channel(2, 4, rng)
+            ch = random_channel(n, 4, rng)
             res = du_optimize(ch, restarts=4, rng=rng, trace=True)
             seq = np.array(res.objective_trace)
             assert np.all(np.diff(seq) >= -1e-12 * np.maximum(1.0, seq[:-1]))
@@ -237,6 +238,35 @@ class TestOptimizer:
             res = du_optimize(ch, restarts=6, rng=rng, trace=True)
             assert res.iterations == len(res.objective_trace) - 1
             assert res.iterations >= 1
+
+    def test_identical_warm_starts_keep_one(self):
+        # the leading canonical operator also has the largest nuclear norm,
+        # so the lb1 and lb2 warm starts coincide: the tie-break retires the
+        # second after one sweep and keeps the first ascending
+        ch = random_channel(3, 2, np.random.default_rng(0))
+        bounds = du_bounds(canonicalize(ch))
+        assert np.array_equal(bounds.witness_lb1, bounds.witness_lb2)
+        res = du_optimize(ch, restarts=0)
+        assert res.converged and res.iterations > 1
+        assert res.sweeps_total == res.iterations + 1
+        assert res.value >= bounds.lb1 - 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_sweeps_total_counts_polar_factors(self, n, monkeypatch):
+        rng = np.random.default_rng(20 + n)
+        calls = []
+
+        def counting(m):
+            calls.append(len(m))
+            return _svd_polar(m)
+
+        monkeypatch.setattr(DU_MODULE, "_svd_polar", counting)
+        for b in range(3):
+            _, ops, _ = _canonical_stack(np.stack(random_channel(n, 3, rng).kraus)[None])
+            warm = _bound_stack(ops).witnesses
+            calls.clear()
+            *_, sweeps_total = _ascend(ops, warm, [np.random.default_rng(b)], 6, False)
+            assert sweeps_total.tolist() == [sum(calls)]
 
     def test_witness_reproduces_value(self):
         rng = np.random.default_rng(9)
@@ -324,6 +354,23 @@ class TestDispatcher:
         assert (res.iterations, res.converged) == (1, False)
         assert max(rep.lb1, rep.lb2) - 1e-9 <= res.value <= rep.ub + 1e-9
         assert not du_optimize(ch, restarts=2).converged
+
+    # du() values recorded while every start still ascended to its own
+    # convergence, before starts retired on joining a better start
+    PINNED = {
+        (3, 2): 0.7158814374521527,
+        (3, 3): 0.46801446222653337,
+        (4, 2): 0.4523105164941942,
+        (4, 4): 0.36633175207390045,
+        (8, 2): 0.4502782932778306,
+        (8, 8): 0.14510393201756414,
+    }
+
+    @pytest.mark.parametrize("n, env", sorted(PINNED))
+    def test_pinned_ascent_values(self, n, env):
+        res, _ = du(random_channel(n, env, np.random.default_rng([12, n, env])))
+        assert (res.method, res.converged) == ("numerical_optimizer", True)
+        assert abs(res.value - self.PINNED[n, env]) <= 1e-11
 
     def test_table_closed_forms(self):
         from unitarity import closed_form_du
