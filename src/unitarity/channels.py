@@ -337,51 +337,35 @@ def standard_channel(kind: str, param: float) -> KrausChannel:
     return KrausChannel(2, ops)
 
 
-def _dilation_kraus_stack(
-    sys_dim: int,
-    env_dim: int,
-    rngs,
-    env_state=None,
-) -> np.ndarray:
+def _dilation_kraus_stack(sys_dim: int, env_dim: int, rngs) -> np.ndarray:
     """Kraus stack of one Haar-dilation channel per generator.
 
     Each generator draws one Haar unitary U of dimension sys_dim * env_dim
     (all of them factored by one batched QR), and
-    E_k = (I (x) <k|) U (I (x) |e>) for k < env_dim, where e is ``env_state``
-    or |0> when it is None. Returns shape (len(rngs), env_dim, sys_dim,
-    sys_dim). Only the columns b * env_dim + t of U with e_t != 0 are formed,
-    and the stack contracts them with those entries of e.
+    E_k = (I (x) <k|) U (I (x) |0>) for k < env_dim. Returns shape
+    (len(rngs), env_dim, sys_dim, sys_dim). Only the columns b * env_dim of
+    U, the system columns with the environment in |0>, are formed.
     """
     _require_at_least("sys_dim", sys_dim, 2)
     _require_at_least("env_dim", env_dim, 1)
     n, d = sys_dim, env_dim
-    e = np.asarray(np.eye(1, d) if env_state is None else env_state, dtype=np.complex128).ravel()
-    if e.shape != (d,):
-        raise ValueError(f"env_state must have length {d}")
-    if abs(np.linalg.norm(e) - 1.0) > 1e-12:
-        raise ValueError("env_state must be normalized")
-    (support,) = np.nonzero(e)
-    # column b * d + t of U is system column b with the environment in |t>
-    columns = (d * np.arange(n)[:, None] + support).ravel()
-    u = haar_from_ginibre(ginibre_stack(n * d, rngs)[:, 0], columns)
-    return np.einsum("zakbt,t->zkab", u.reshape(-1, n, d, n, support.size), e[support], order="C")
+    u = haar_from_ginibre(ginibre_stack(n * d, rngs)[:, 0], d * np.arange(n))
+    # row a * d + k of U is system row a with the environment in |k>
+    return np.ascontiguousarray(u.reshape(-1, n, d, n).transpose(0, 2, 1, 3))
 
 
-def random_channel(
-    sys_dim: int,
-    env_dim: int,
-    rng: np.random.Generator,
-    env_state=None,
-) -> KrausChannel:
+def random_channel(sys_dim: int, env_dim: int, rng: np.random.Generator) -> KrausChannel:
     """Random channel from a Haar unitary on system (x) environment.
 
     Draws a Haar unitary of dimension sys_dim * env_dim, couples the system
-    to the environment in the unit vector ``env_state`` (|0> when None), and
-    traces it out: E_k = (I (x) <k|) U (I (x) |e>) for k < env_dim. Trace
-    preserving by construction. A batch of one of the samplers' stack, so a
-    sampler record's seed regenerates its channel bit for bit.
+    to the environment in |0>, and traces it out:
+    E_k = (I (x) <k|) U (I (x) |0>) for k < env_dim. Trace preserving by
+    construction. Any other fixed environment state |e> = V|0> gives the
+    same ensemble, since U (I (x) V) is Haar whenever U is, so only the
+    environment's dimension matters. A batch of one of the samplers' stack,
+    so a sampler record's seed regenerates its channel bit for bit.
     """
-    ops = _dilation_kraus_stack(sys_dim, env_dim, [rng], env_state)[0]
+    ops = _dilation_kraus_stack(sys_dim, env_dim, [rng])[0]
     return KrausChannel(sys_dim, tuple(ops))
 
 

@@ -44,6 +44,11 @@ CHANNEL_FAMILIES = STANDARD_KINDS
 # depends on it, and it bounds the memory one batch's stacks take.
 CHUNK = 512
 
+# Constants, not options, as no caller sets another value: the width of the
+# stratified tightness study's DU bins, and the restarts of each witness DU.
+BIN_WIDTH = 0.05
+WITNESS_RESTARTS = 8
+
 
 def closed_form_du(kind: str, param: float) -> float:
     """Reference DU for the standard single-qubit channel families."""
@@ -291,35 +296,31 @@ def run_tightness(
     env_dim: int = 2,
     seed: int = 0,
     stratified: bool = False,
-    bin_width: float = 0.05,
     attempt_cap: int = 1_000_000,
     restarts: int = 4,
 ) -> TightnessResult:
     """Sample Haar-dilation channels and record DU with its bounds.
 
     Without stratification, exactly ``samples`` channels are recorded. With
-    stratification, rejection sampling fills DU bins of ``bin_width`` over
-    [1/n^2, 1] up to ceil(samples / bins) records each. It stops at the
+    stratification, rejection sampling fills DU bins of width ``BIN_WIDTH``
+    over [1/n^2, 1] up to ceil(samples / bins) records each. It stops at the
     attempt that fills the last bin, or when the total attempt budget
     ``attempt_cap`` runs out; bins still below target are reported in
-    ``underfilled``, never fabricated. ``bin_width`` must be a finite
-    number above 0, and with stratification leave at least one bin.
+    ``underfilled``, never fabricated. At ``env_dim`` 1 every DU is 1, so
+    the budget is the top bin's target.
     """
     _require_at_least("samples", samples, 1)
     _require_at_least("sys_dim", sys_dim, 2)
     _require_at_least("attempt_cap", attempt_cap, 1)
     _require_at_least("seed", seed, 0)
-    if not (math.isfinite(bin_width) and bin_width > 0):
-        raise ValueError(f"bin_width must be a finite number > 0, got {bin_width!r}")
     lo = 1.0 / sys_dim**2
     if stratified:
-        n_bins = int(round((1.0 - lo) / bin_width))
-        if n_bins < 1:
-            raise ValueError(f"bin_width {bin_width!r} leaves no bin over [{lo:g}, 1]")
-        edges = lo + bin_width * np.arange(n_bins + 1)
+        n_bins = int(round((1.0 - lo) / BIN_WIDTH))
+        edges = lo + BIN_WIDTH * np.arange(n_bins + 1)
         edges[-1] = 1.0
         target = math.ceil(samples / n_bins)
-        total = attempt_cap
+        # at env_dim 1 every channel is unitary (DU 1): only the top bin can fill
+        total = min(attempt_cap, target) if env_dim == 1 else attempt_cap
     else:  # one bin over [1/n^2, 1] that keeps every attempt
         n_bins, edges, target, total = 1, None, samples, samples
     counts = [0] * n_bins
@@ -327,7 +328,7 @@ def run_tightness(
     tally = np.zeros(2, dtype=int)
     attempts = 0
     for seeds, bulk in _sample(sys_dim, env_dim, seed, (), total, restarts):
-        bins = np.minimum(((np.clip(bulk.du, lo, 1.0) - lo) / bin_width).astype(int), n_bins - 1)
+        bins = np.minimum(((np.clip(bulk.du, lo, 1.0) - lo) / BIN_WIDTH).astype(int), n_bins - 1)
         kept = []
         for i, b in enumerate(bins.tolist()):
             attempts += 1
@@ -518,12 +519,12 @@ class WitnessReport:
         )
 
 
-def run_witness(traj: Trajectory, threshold: float = 1e-6, restarts: int = 8) -> WitnessReport:
+def run_witness(traj: Trajectory, threshold: float = 1e-6) -> WitnessReport:
     """Compute DU along the trajectory and flag increases above threshold,
     which must be a finite number of at least 0."""
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
-    values = np.array([du(ch, restarts=restarts)[0].value for ch in traj.channels])
+    values = np.array([du(ch, restarts=WITNESS_RESTARTS)[0].value for ch in traj.channels])
     increases = []
     for i in range(len(values) - 1):
         delta = values[i + 1] - values[i]

@@ -13,11 +13,14 @@ Complex numbers always serialize as two-element [re, im] arrays.
 
 Trajectory JSON is {"dim": n, "times": [...], "channels": [channel, ...]}
 with one channel object per time point, at strictly ascending times.
+Every number must be a JSON number within the float range ("dim" an
+integral one); a boolean or a numeric string is a FormatError.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from typing import Iterable
 
 import numpy as np
@@ -35,13 +38,22 @@ def matrix_to_obj(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat)]
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number a float holds: an int (not a bool) or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
 def matrix_from_obj(obj, what: str = "matrix") -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{what}: expected nested [re, im] pairs: {exc}") from None
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise FormatError(f"{what}: expected shape (rows, cols, 2), got {arr.shape}")
+    if not all(_is_number(x) for row in obj for pair in row for x in pair):
+        raise FormatError(f"{what}: every [re, im] entry must be a number")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -50,13 +62,11 @@ def channel_to_obj(ch: KrausChannel) -> dict:
 
 
 def _dim_field(obj: dict, what: str) -> int:
-    """The ``"dim"`` entry of ``obj``: an integer (an integral number such as 2.0 too)."""
+    """The ``"dim"`` entry of ``obj``: an integral number (2.0 is taken as 2)."""
     dim = obj["dim"]
-    if isinstance(dim, float) and dim.is_integer():
-        dim = int(dim)
-    if isinstance(dim, bool) or not isinstance(dim, int):
+    if not (_is_number(dim) and (isinstance(dim, int) or dim.is_integer())):
         raise FormatError(f"{what}: 'dim' must be an integer, got {dim!r}")
-    return dim
+    return int(dim)
 
 
 def channel_from_obj(obj) -> KrausChannel:
@@ -68,12 +78,11 @@ def channel_from_obj(obj) -> KrausChannel:
             raise FormatError(
                 f"channel: unknown standard kind {kind!r}; expected one of {STANDARD_KINDS}"
             )
+        param = obj.get("param")
+        if not _is_number(param):
+            raise FormatError(f"channel: standard form needs a numeric 'param', got {param!r}")
         try:
-            param = float(obj["param"])
-        except (KeyError, TypeError, ValueError):
-            raise FormatError("channel: standard form needs a numeric 'param'") from None
-        try:
-            return standard_channel(kind, param)
+            return standard_channel(kind, float(param))
         except ValueError as exc:
             raise FormatError(f"channel: {exc}") from None
     if "dim" not in obj or "kraus" not in obj:
@@ -121,10 +130,9 @@ def trajectory_from_obj(obj) -> Trajectory:
         if key not in obj:
             raise FormatError(f"trajectory: missing key {key!r}")
     dim = _dim_field(obj, "trajectory")
-    try:
-        times = [float(t) for t in obj["times"]]
-    except (TypeError, ValueError):
-        raise FormatError("trajectory: 'times' must be numeric") from None
+    times = obj["times"]
+    if not (isinstance(times, list) and all(map(_is_number, times))):
+        raise FormatError("trajectory: 'times' must be an array of numbers")
     if not isinstance(obj["channels"], list):
         raise FormatError("trajectory: 'channels' must be a list")
     channels = [channel_from_obj(c) for c in obj["channels"]]

@@ -104,7 +104,8 @@ def reference_dilation_kraus(
     sys_dim: int, env_dim: int, rng: np.random.Generator, env_state=None
 ) -> np.ndarray:
     """Kraus stack (env_dim, sys_dim, sys_dim) of one Haar-dilation channel,
-    built from :func:`reference_haar_unitary` one seed at a time."""
+    built from :func:`reference_haar_unitary` one seed at a time, with the
+    environment in ``env_state`` (|0>, the library's only choice, when None)."""
     u = reference_haar_unitary(sys_dim * env_dim, rng)
     t = u.reshape(sys_dim, env_dim, sys_dim, env_dim)
     if env_state is None:

@@ -1,0 +1,61 @@
+"""The public surface: its optional parameters, and the documented example."""
+
+import inspect
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import unitarity
+from unitarity import Trajectory, random_channel, run_tightness, run_witness, standard_channel
+
+# Every optional parameter of every public function. A new option, or the
+# removal of one, must be a deliberate edit here.
+OPTIONAL_PARAMETERS = {
+    "du": ["restarts", "rng"],
+    "du_optimize": ["restarts", "rng", "trace"],
+    "run_distribution": ["sys_dim", "num_bins", "restarts", "du_column"],
+    "run_table1": ["grid", "restarts"],
+    "run_tightness": ["sys_dim", "env_dim", "seed", "stratified", "attempt_cap", "restarts"],
+    "run_witness": ["threshold"],
+    "validate": ["tol"],
+}
+
+
+def test_optional_parameter_inventory():
+    found = {}
+    for name in unitarity.__all__:
+        obj = getattr(unitarity, name)
+        if inspect.isfunction(obj):
+            params = inspect.signature(obj).parameters.values()
+            optional = [p.name for p in params if p.default is not p.empty]
+            if optional:
+                found[name] = optional
+    assert found == OPTIONAL_PARAMETERS
+    assert sum(map(len, found.values())) == 19
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: random_channel(2, 2, np.random.default_rng(0), env_state=[1.0, 0.0]),
+        lambda: run_tightness(4, seed=1, stratified=True, bin_width=0.25),
+        lambda: run_witness(
+            Trajectory((0.0,), (standard_channel("bit_flip", 0.1),)), restarts=2
+        ),
+    ],
+    ids=["random_channel-env_state", "run_tightness-bin_width", "run_witness-restarts"],
+)
+def test_deleted_keyword_is_a_type_error(call):
+    # the environment state, the stratification bin width and the witness's
+    # restarts are fixed: |0>, harness.BIN_WIDTH and harness.WITNESS_RESTARTS
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        call()
+
+
+def test_readme_quickstart_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md quickstart", "exec"), {})

@@ -225,6 +225,18 @@ class TestArgumentRanges:
         assert err.startswith("usage: unitarity")
         assert "argument --env-dims: expected at least one dimension" in err
 
+    def test_repeated_env_dim_is_a_usage_error(self, tmp_path, capsys):
+        # --out writes one file per dimension, so a repeat would overwrite one
+        out = tmp_path / "dd.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["distribution", "--samples", "3", "--seed", "1", "--env-dims", "2,4,2",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: unitarity")
+        assert "argument --env-dims: expected distinct dimensions, got 2,4,2" in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -324,8 +336,16 @@ class TestWitnessCommand:
             ([], [], "at least one time point"),
             ([0.0], 5, "'channels' must be a list"),
             ([0.0, math.nan], [{"standard": "bit_flip", "param": 0.1}] * 2, "finite"),
+            ("01", [{"standard": "bit_flip", "param": 0.1}] * 2, "'times' must be an array"),
+            ([0.0, "1"], [{"standard": "bit_flip", "param": 0.1}] * 2,
+             "'times' must be an array of numbers"),
+            ([False, True], [{"standard": "bit_flip", "param": 0.1}] * 2,
+             "'times' must be an array of numbers"),
+            ([0, 10**400], [{"standard": "bit_flip", "param": 0.1}] * 2,
+             "'times' must be an array of numbers"),
         ],
-        ids=["descending-times", "no-time-points", "channels-not-a-list", "nan-time"],
+        ids=["descending-times", "no-time-points", "channels-not-a-list", "nan-time",
+             "times-string", "string-time", "bool-times", "huge-int-time"],
     )
     def test_malformed_trajectory_exit_2(self, tmp_path, capsys, times, channels, message):
         path = tmp_path / "traj.json"
@@ -334,6 +354,30 @@ class TestWitnessCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: trajectory: ")
         assert message in err
+
+
+class TestStrictNumbers:
+    ROWS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"standard": "bit_flip", "param": True}, "channel: standard form needs a numeric"),
+            ({"standard": "bit_flip", "param": "0.5"}, "channel: standard form needs a numeric"),
+            ({"dim": 2, "kraus": [[[["1", "0"], [0, 0]], ROWS[1]]]}, "kraus[0]: every [re, im]"),
+            ({"dim": 2, "kraus": [[[[1, 0], [False, 0]], ROWS[1]]]}, "kraus[0]: every [re, im]"),
+            ({"dim": 2, "kraus": [[[[True, 0], [0, 0]], ROWS[1]]]}, "kraus[0]: every [re, im]"),
+            ({"standard": "bit_flip", "param": 10**400}, "channel: standard form needs a numeric"),
+            ({"dim": 2, "kraus": [[[[10**400, 0], [0, 0]], ROWS[1]]]}, "kraus[0]: expected"),
+        ],
+        ids=["bool-param", "string-param", "string-entry", "mixed-false-entry", "true-entry",
+             "huge-int-param", "huge-int-entry"],
+    )
+    def test_channel_non_number_exit_2(self, tmp_path, capsys, obj, message):
+        path = tmp_path / "chan.json"
+        path.write_text(json.dumps(obj))
+        assert main(["du", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestNonIntegralDim:

@@ -21,7 +21,6 @@ from unitarity import (
     run_witness,
     standard_channel,
 )
-from unitarity.channels import _dilation_kraus_stack
 from unitarity.du import _ROUTES, _du_stack
 from unitarity.harness import (
     _attempt_seeds,
@@ -38,7 +37,7 @@ from unitarity.io import (
     write_tightness_csv,
 )
 
-from helpers import DU_MODULE
+from helpers import DU_MODULE, reference_dilation_kraus
 
 
 @pytest.mark.parametrize(
@@ -213,7 +212,8 @@ class TestBulkEvaluator:
         seeds1 = [attempt_seed(5, (1, i)) for i in range(n)]
         du0 = _evaluate_dilation_batch(2, 2, seeds0, restarts=2).du
         rngs = _generators(seeds1)
-        du1 = _du_stack(_dilation_kraus_stack(2, 2, rngs, e), rngs, 2).du
+        stack = np.stack([reference_dilation_kraus(2, 2, rng, env_state=e) for rng in rngs])
+        du1 = _du_stack(stack, rngs, 2).du
         se = math.sqrt(du0.var(ddof=1) / n + du1.var(ddof=1) / n)
         assert abs(du0.mean() - du1.mean()) < 4 * se
         assert abs(du0.std() - du1.std()) < 0.02
@@ -274,16 +274,17 @@ class TestTightness:
 
     def test_reproducible_and_chunk_invariant(self, monkeypatch):
         stratified = dict(samples=45, seed=13, stratified=True, restarts=2)
+        width = harness.BIN_WIDTH
         cases = [
-            (dict(samples=40, seed=77), (7, 512)),
-            (dict(stratified, attempt_cap=4000), (7, 512)),
+            (dict(samples=40, seed=77), (7, 512), width),
+            (dict(stratified, attempt_cap=4000), (7, 512), width),
             # the cap cuts the last chunk of 64 short
-            (dict(stratified, attempt_cap=300), (64, 512)),
+            (dict(stratified, attempt_cap=300), (64, 512), width),
             # every bin fills before the cap, part-way through a chunk
-            (dict(stratified, attempt_cap=4000, samples=12, env_dim=4, bin_width=0.25),
-             (7, 64, 512)),
+            (dict(stratified, attempt_cap=4000, samples=12, env_dim=4), (7, 64, 512), 0.25),
         ]
-        for kwargs, chunks in cases:
+        for kwargs, chunks, bin_width in cases:
+            monkeypatch.setattr(harness, "BIN_WIDTH", bin_width)
             runs = []
             for c in chunks:
                 monkeypatch.setattr(harness, "CHUNK", c)
@@ -297,9 +298,9 @@ class TestTightness:
 
     def test_stratified_stops_at_the_attempt_that_fills_the_last_bin(self, monkeypatch):
         monkeypatch.setattr(harness, "CHUNK", 64)
+        monkeypatch.setattr(harness, "BIN_WIDTH", 0.25)
         result = run_tightness(
-            samples=12, env_dim=4, seed=13, stratified=True, bin_width=0.25,
-            attempt_cap=4000, restarts=2,
+            samples=12, env_dim=4, seed=13, stratified=True, attempt_cap=4000, restarts=2,
         )
         assert result.underfilled == {}
         assert len(result.records) == 3 * result.target_per_bin
@@ -321,16 +322,13 @@ class TestTightness:
         assert filled + sum(result.underfilled.values()) <= 45 + len(result.underfilled) * 3
         assert result.attempts <= 4000
 
-    @pytest.mark.parametrize(
-        "bin_width, stratified",
-        [(0.0, True), (-0.1, True), (math.nan, True), (math.inf, True), (2.0, True),
-         (0.0, False), (-0.1, False), (math.nan, False)],
-        ids=["zero", "negative", "nan", "inf", "no-bin", "zero-unstratified",
-             "negative-unstratified", "nan-unstratified"],
-    )
-    def test_rejects_bad_bin_width(self, bin_width, stratified):
-        with pytest.raises(ValueError, match="bin_width"):
-            run_tightness(samples=4, seed=1, stratified=stratified, bin_width=bin_width)
+    def test_stratified_at_env_dim_1_stops_when_the_top_bin_fills(self):
+        # every channel is unitary, so DU is 1 and no lower bin can fill:
+        # the run takes one attempt per top-bin record and reports the rest
+        result = run_tightness(10, env_dim=1, seed=1, stratified=True, attempt_cap=5000)
+        assert result.attempts == result.target_per_bin == len(result.records)
+        top = len(result.bin_edges) - 2
+        assert result.underfilled == {b: 0 for b in range(top)}
 
     def test_counts_nonconverged_records(self, monkeypatch):
         # with a one-sweep cap no qutrit ascent converges, and every record
