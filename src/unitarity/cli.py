@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--stratified", action="store_true")
     p.add_argument("--env-dim", type=_int_at_least(1), default=2)
-    p.add_argument("--attempt-cap", type=_int_at_least(1), default=1_000_000)
+    p.add_argument("--attempt-cap", type=_int_at_least(1), default=1_000_000,
+                   help="attempt budget of --stratified; without it every attempt is recorded")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=_cmd_tightness)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, kraus_to_chi
-from .linalg import _require_at_least, as_matrix, assert_unitary, hermitian_eig
+from .linalg import _require_at_least, as_matrix, assert_unitary
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def fidelity_pair(ch: KrausChannel, u) -> FidelityPair:
 
 
 def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = hermitian_eig(mat)
+    vals, vecs = np.linalg.eigh(mat)
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 

@@ -301,7 +301,8 @@ def run_tightness(
 ) -> TightnessResult:
     """Sample Haar-dilation channels and record DU with its bounds.
 
-    Without stratification, exactly ``samples`` channels are recorded. With
+    Without stratification, every attempt is recorded: exactly ``samples``
+    channels from ``samples`` attempts, whatever ``attempt_cap`` is. With
     stratification, rejection sampling fills DU bins of width ``BIN_WIDTH``
     over [1/n^2, 1] up to ceil(samples / bins) records each. It stops at the
     attempt that fills the last bin, or when the total attempt budget

@@ -101,15 +101,19 @@ def channel_from_obj(obj) -> KrausChannel:
 
 
 def load_json(path: str):
-    """Parse a JSON file, turning syntax errors into FormatError with context."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Parse a UTF-8 JSON file, turning undecodable bytes, syntax errors and
+    nesting too deep to parse into FormatError with context."""
     try:
-        return json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.loads(fh.read())
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise FormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise FormatError(f"{path}: invalid JSON: nested too deeply to parse") from None
 
 
 def load_channel(path: str) -> KrausChannel:
@@ -170,11 +174,11 @@ DISTRIBUTION_HEADER = "bin_lo,bin_hi,count"
 
 
 def write_distribution_csv(hist, path: str) -> None:
-    """Emit one DU histogram with its summary line."""
+    """Emit one DU histogram with its summary line, which names the binned column."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"# mean={hist.mean:.17g} samples={hist.sample_count} "
-            f"env_dim={hist.env_dim} seed={hist.seed}\n"
+            f"env_dim={hist.env_dim} seed={hist.seed} du_column={hist.du_column}\n"
         )
         fh.write(DISTRIBUTION_HEADER + "\n")
         for lo, hi, count in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):

@@ -1,12 +1,12 @@
 """Dense complex-matrix kernels used throughout the package.
 
 Everything operates on plain numpy ``complex128`` arrays in row-major order.
-Spectral outputs (singular values, Hermitian eigenvalues) are always sorted
-in descending order so downstream results serialize deterministically.
 
 The DU core takes every singular value and polar factor from one kernel,
 :func:`_svd_polar`, the only choice of algorithm by size: the closed form
-:func:`_svd_polar_2x2` at 2x2 (no LAPACK call), else one batched SVD.
+:func:`_svd_polar_2x2` at 2x2 (no LAPACK call), else one batched SVD. Its
+singular values are sorted in descending order so downstream results
+serialize deterministically.
 
 Haar sampling has one path: :func:`ginibre_stack` draws the Gaussian
 entries, one ``standard_normal`` call per generator, and
@@ -18,14 +18,12 @@ the same unitaries whether they are drawn one at a time or as a stack.
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple
 
 import numpy as np
 
-# Frobenius-norm tolerance for unitarity / Hermiticity validation. Double
-# precision decompositions on dim <= 64 matrices stay well below this.
+# Frobenius-norm tolerance for unitarity validation. Double precision
+# decompositions on dim <= 64 matrices stay well below this.
 UNITARY_TOL = 1e-9
-HERMITIAN_TOL = 1e-9
 
 # Singular values / eigenvalue weights below this count as zero in rank
 # decisions (double-precision noise floor).
@@ -42,13 +40,6 @@ def _require_at_least(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
-class PolarFactors(NamedTuple):
-    """Polar decomposition ``a = unitary @ psd``."""
-
-    unitary: np.ndarray
-    psd: np.ndarray
-
-
 def as_matrix(a) -> np.ndarray:
     """Coerce input to a 2-D, C-ordered complex128 array with finite entries."""
     m = np.ascontiguousarray(a, dtype=np.complex128)
@@ -57,42 +48,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product tr(a† b)."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
-def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition ``a = u @ diag(s) @ vh``.
-
-    Singular values are real, nonnegative and descending.
-    """
-    a = as_matrix(a)
-    u, s, vh = np.linalg.svd(a)
-    return u, s, vh
-
-
-def polar(a) -> PolarFactors:
-    """Polar decomposition of a square matrix via its SVD.
-
-    Returns ``(w, p)`` with ``a = w @ p``, ``w`` unitary and ``p`` Hermitian
-    PSD. The SVD route (``w = u @ vh``) keeps ``w`` unitary even when ``a``
-    is rank deficient, and ``w`` maximizes |tr(v† a)| over unitaries ``v``
-    with maximum tr(sqrt(a† a)).
-    """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"polar decomposition needs a square matrix, got {a.shape}")
-    u, s, vh = np.linalg.svd(a)
-    w = u @ vh
-    p = (vh.conj().T * s) @ vh
-    return PolarFactors(w, p)
 
 
 # Constants of the closed-form 2x2 kernel, on matrices flattened row-major:
@@ -154,24 +109,6 @@ def _svd_polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, u @ vh
 
 
-def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(vals, vecs)`` with eigenvalues descending and eigenvectors in
-    the columns of ``vecs``, so ``h = vecs @ diag(vals) @ vecs†``. Raises if
-    the input is not Hermitian within HERMITIAN_TOL. No canonical basis is
-    promised inside degenerate eigenspaces.
-    """
-    h = as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got {h.shape}")
-    defect = float(np.linalg.norm(h - h.conj().T))
-    if defect > HERMITIAN_TOL * max(1.0, float(np.linalg.norm(h))):
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    vals, vecs = np.linalg.eigh(h)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
 def ginibre_stack(dim: int, rngs, count: int = 1) -> np.ndarray:
     """Real Gaussian draws for ``count`` complex Ginibre matrices per generator.
 
@@ -222,13 +159,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     given generator state.
     """
     return haar_from_ginibre(ginibre_stack(dim, [rng]))[0, 0]
-
-
-def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state: a normalized complex Gaussian vector."""
-    _require_at_least("dim", dim, 1)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
 
 
 def unitarity_defect(u) -> float:

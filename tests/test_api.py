@@ -10,6 +10,78 @@ import pytest
 import unitarity
 from unitarity import Trajectory, random_channel, run_tightness, run_witness, standard_channel
 
+# Every public name. Adding or deleting one must be a deliberate edit here.
+PUBLIC_NAMES = [
+    "__version__",
+    "BoundReport",
+    "CanonicalKraus",
+    "ChannelValidationError",
+    "ChiMatrix",
+    "DuHistogram",
+    "DuResult",
+    "FidelityPair",
+    "KrausChannel",
+    "MixedUnitaryForm",
+    "MonteCarloFidelity",
+    "OrthogonalityError",
+    "Table1Report",
+    "TightnessRecord",
+    "TightnessResult",
+    "Trajectory",
+    "ValidationReport",
+    "WitnessReport",
+    "apply_channel",
+    "as_mixed_unitary",
+    "average_fidelity",
+    "average_fidelity_mc",
+    "average_from_process",
+    "canonicalize",
+    "chi_to_kraus",
+    "closed_form_du",
+    "compose",
+    "convex_unitary_mixture",
+    "du",
+    "du_bounds",
+    "du_exact_mixed_unitary",
+    "du_optimize",
+    "fidelity_pair",
+    "haar_unitary",
+    "identity_channel",
+    "kraus_to_chi",
+    "process_fidelity",
+    "process_fidelity_chi",
+    "process_from_average",
+    "random_channel",
+    "require_trace_preserving",
+    "run_distribution",
+    "run_table1",
+    "run_tightness",
+    "run_witness",
+    "standard_channel",
+    "unitary_channel",
+    "validate",
+]
+
+
+def test_public_name_inventory():
+    assert unitarity.__all__ == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 48
+    for name in PUBLIC_NAMES:
+        assert hasattr(unitarity, name)
+
+
+@pytest.mark.parametrize(
+    "name", ["PolarFactors", "haar_state", "hermitian_eig", "hs_inner", "polar", "svd"]
+)
+def test_deleted_name_is_an_attribute_error(name):
+    # linalg._svd_polar is the one SVD/polar kernel; the others were numpy
+    # one-liners
+    with pytest.raises(AttributeError):
+        getattr(unitarity, name)
+    with pytest.raises(AttributeError):
+        getattr(unitarity.linalg, name)
+
+
 # Every optional parameter of every public function. A new option, or the
 # removal of one, must be a deliberate edit here.
 OPTIONAL_PARAMETERS = {

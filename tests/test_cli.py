@@ -148,6 +148,18 @@ class TestRandomizedCommands:
             assert lines[0].startswith("# mean=")
             assert f"env_dim={d}" in lines[0]
             assert "seed=9" in lines[0]
+            assert lines[0].endswith(" du_column=dispatcher")
+
+    def test_distribution_csv_names_the_binned_column(self, tmp_path):
+        out_csv = tmp_path / "dist.csv"
+        code = main([
+            "distribution", "--samples", "20", "--env-dims", "2", "--seed", "9",
+            "--du-column", "lb1", "--out", str(out_csv),
+        ])
+        assert code == 0
+        first = (tmp_path / "dist_d2.csv").read_text().splitlines()[0]
+        assert first.startswith("# mean=")
+        assert first.endswith(" du_column=lb1")
 
     def test_summary_lines_report_counts(self, capsys):
         assert main(["tightness", "--samples", "6", "--seed", "2", "--env-dim", "1"]) == 0
@@ -402,6 +414,27 @@ class TestNonIntegralDim:
         path.write_text(json.dumps({"dim": 2.0, "kraus": self.IDENTITY}))
         assert main(["du", str(path)]) == 0
         assert capsys.readouterr().out.startswith("du=1 ")
+
+
+class TestUnreadableJson:
+    """A file that is not UTF-8, or JSON nested past the parser's recursion
+    limit, is a format error: one error line naming the file, exit 2."""
+
+    @pytest.mark.parametrize("command", ["du", "witness"])
+    def test_not_utf8_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"dim": 2}')
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: not UTF-8 text at byte 0: invalid start byte\n"
+
+    @pytest.mark.parametrize("command", ["du", "witness"])
+    def test_deep_nesting_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: invalid JSON: nested too deeply to parse\n"
 
 
 class TestChannelJsonRoundTrip:

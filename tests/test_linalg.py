@@ -5,118 +5,87 @@ from hypothesis import strategies as st
 
 from unitarity import linalg
 from unitarity.linalg import (
+    _svd_polar,
     _svd_polar_2x2,
     as_matrix,
     assert_unitary,
     ginibre_stack,
     haar_from_ginibre,
-    haar_state,
     haar_unitary,
-    hermitian_eig,
-    hs_inner,
-    polar,
-    svd,
     unitarity_defect,
 )
 
-from helpers import PAULI_X, PAULI_Z, reference_haar_unitary
+from helpers import reference_haar_unitary
 
 
-class TestHsInner:
-    def test_identity(self):
-        assert hs_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0)
-
-    def test_pauli_orthogonality(self):
-        assert hs_inner(PAULI_X, PAULI_Z) == pytest.approx(0.0)
-
-    def test_complex_scaling(self):
-        # tr(I . (1+i) I) computed by hand
-        assert hs_inner(np.eye(2), (1 + 1j) * np.eye(2)) == pytest.approx(2 + 2j)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            hs_inner(np.eye(2), np.eye(3))
-
-    def test_rejects_nan(self):
-        bad = np.array([[np.nan, 0], [0, 1]])
-        with pytest.raises(ValueError):
-            as_matrix(bad)
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
-class TestSvd:
-    def test_diagonal_sorted(self):
-        _, s, _ = svd(np.diag([3.0, 4.0]))
-        assert np.allclose(s, [4.0, 3.0])
+class TestSvdPolar:
+    """The one SVD/polar kernel of the lower bounds and the ascent: the
+    closed form at n = 2, one batched SVD at n = 3 and 8."""
 
-    def test_zero_matrix(self):
-        _, s, _ = svd(np.zeros((3, 3)))
-        assert np.allclose(s, 0.0)
+    # matrix, its singular values, and its polar factor where that is unique
+    KNOWN = {
+        "identity": (np.eye(2), [1.0, 1.0], np.eye(2)),
+        "diagonal_psd": (np.diag([1.0, 0.8]), [1.0, 0.8], np.eye(2)),
+        "diagonal_sorted": (np.diag([3.0, 4.0]), [4.0, 3.0], np.eye(2)),
+        "sign_split": (np.diag([2.0, -1.0]), [2.0, 1.0], np.diag([1.0, -1.0])),
+        "sign_split_3x3": (np.diag([2.0, -1.0, 0.5]), [2.0, 1.0, 0.5], np.diag([1.0, -1.0, 1.0])),
+        # A†A of the decay jump operator is diag(0, 0.36)
+        "decay_jump_operator": (np.array([[0.0, 0.6], [0.0, 0.0]]), [0.6, 0.0], None),
+        "zero_3x3": (np.zeros((3, 3)), [0.0, 0.0, 0.0], None),
+    }
 
-    def test_decay_jump_operator(self):
-        # A†A of [[0, sqrt(0.36)], [0, 0]] is diag(0, 0.36), so the singular
-        # values are (0.6, 0)
-        a = np.array([[0.0, 0.6], [0.0, 0.0]])
-        _, s, _ = svd(a)
-        assert np.allclose(s, [0.6, 0.0])
+    @pytest.mark.parametrize("name", KNOWN)
+    def test_known_cases(self, name):
+        a, s_expected, w_expected = self.KNOWN[name]
+        s, w = _svd_polar(a.astype(np.complex128))
+        assert np.allclose(s, s_expected, rtol=0.0, atol=1e-14)
+        assert unitarity_defect(w) <= 1e-14
+        if w_expected is not None:
+            assert np.allclose(w, w_expected, rtol=0.0, atol=1e-14)
 
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            dim = int(rng.integers(1, 9))
-            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            u, s, vh = svd(a)
-            err = np.linalg.norm(a - (u * s) @ vh)
-            assert err <= 1e-9 * max(1.0, np.linalg.norm(a))
-            assert np.all(np.diff(s) <= 0)
+    @staticmethod
+    def _random_stack(n: int, seed: int, count: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+        a[::5, :, 0] = 0.0  # every fifth matrix is rank deficient
+        return a * 10.0 ** rng.uniform(-3.0, 3.0, (count, 1, 1))
 
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_polar_factorization(self, n):
+        # A = W P with W unitary and P = W†A Hermitian PSD, whose spectrum is
+        # the descending singular values of A
+        a = self._random_stack(n, seed=n, count=200)
+        s, w = _svd_polar(a)
+        scale = np.linalg.norm(a, axis=(-2, -1))
+        p = _adjoint(w) @ a
+        assert np.all(np.linalg.norm(_adjoint(w) @ w - np.eye(n), axis=(-2, -1)) <= 1e-13)
+        assert np.all(np.linalg.norm(a - w @ p, axis=(-2, -1)) <= 1e-13 * scale)
+        assert np.all(np.linalg.norm(p - _adjoint(p), axis=(-2, -1)) <= 1e-13 * scale)
+        spectrum = np.linalg.eigvalsh(p)[..., ::-1]
+        assert np.all(spectrum[..., -1] >= -1e-13 * scale)
+        assert np.all(np.abs(spectrum - s) <= 1e-13 * scale[:, None])
+        assert np.all(np.diff(s, axis=-1) <= 0.0) and np.all(s >= 0.0)
 
-class TestPolar:
-    def test_identity(self):
-        w, p = polar(np.eye(2))
-        assert np.allclose(w, np.eye(2))
-        assert np.allclose(p, np.eye(2))
-
-    def test_diagonal_psd(self):
-        w, p = polar(np.diag([1.0, 0.8]))
-        assert np.allclose(w, np.eye(2))
-        assert np.allclose(p, np.diag([1.0, 0.8]))
-
-    def test_sign_split(self):
-        w, p = polar(np.diag([2.0, -1.0]))
-        assert np.allclose(w, np.diag([1.0, -1.0]))
-        assert np.allclose(p, np.diag([2.0, 1.0]))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            polar(np.zeros((2, 3)))
-
-    def test_reconstruction_1000_random(self):
-        rng = np.random.default_rng(2)
-        for _ in range(1000):
-            dim = int(rng.integers(1, 9))
-            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            if rng.random() < 0.2:
-                a[:, 0] = 0.0  # exercise rank-deficient inputs
-            w, p = polar(a)
-            assert unitarity_defect(w) <= 1e-9
-            assert np.linalg.norm(a - w @ p) <= 1e-8 * max(1.0, np.linalg.norm(a))
-            assert np.linalg.norm(p - p.conj().T) <= 1e-9
-            assert np.linalg.eigvalsh(p).min() >= -1e-12
-
-    def test_trace_alignment_is_maximal(self):
-        # tr sqrt(A†A) equals the sum of singular values (checked against an
-        # eigenvalue computation of A†A) and no unitary beats it.
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            nuclear = np.sqrt(np.clip(np.linalg.eigvalsh(a.conj().T @ a), 0, None)).sum()
-            _, s, _ = svd(a)
-            assert nuclear == pytest.approx(s.sum(), abs=1e-9)
-            w, _ = polar(a)
-            assert abs(np.vdot(w, a)) == pytest.approx(nuclear, abs=1e-9)
-            for _ in range(100):
-                v = haar_unitary(4, rng)
-                assert abs(np.vdot(v, a)) <= nuclear + 1e-9
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_trace_alignment_is_maximal(self, n):
+        # Re tr(W†A) is the sum of the singular values, the nuclear norm
+        # tr sqrt(A†A), and no Haar-random unitary V gives more Re tr(V†A)
+        a = self._random_stack(n, seed=10 + n, count=20)
+        s, w = _svd_polar(a)
+        aligned = np.einsum("kij,kij->k", w.conj(), a)
+        nuclear = np.sqrt(np.clip(np.linalg.eigvalsh(_adjoint(a) @ a), 0.0, None)).sum(-1)
+        scale = np.linalg.norm(a, axis=(-2, -1))
+        assert np.all(np.abs(aligned.real - s.sum(-1)) <= 1e-13 * scale)
+        assert np.all(np.abs(aligned.imag) <= 1e-13 * scale)
+        # a zero eigenvalue of A†A has a square root of about 1e-8 * scale
+        assert np.all(np.abs(nuclear - s.sum(-1)) <= 1e-7 * scale)
+        v = haar_from_ginibre(ginibre_stack(n, [np.random.default_rng(n)], 100))[0]
+        rivals = np.einsum("vij,kij->kv", v.conj(), a).real
+        assert np.all(rivals <= s.sum(-1, keepdims=True) + 1e-13 * scale[:, None])
 
 
 def _two_by_two(kind: str, seed: int, log_scale: float) -> np.ndarray:
@@ -184,38 +153,6 @@ class TestSvdPolar2x2:
             alone = _svd_polar_2x2(m)
             assert np.array_equal(s[i, 0], alone[0])
             assert np.array_equal(w[i, 0], alone[1])
-
-
-class TestHermitianEig:
-    def test_diagonal(self):
-        vals, _ = hermitian_eig(np.diag([1.0, 2.0]))
-        assert np.allclose(vals, [2.0, 1.0])
-
-    def test_pauli_x(self):
-        vals, vecs = hermitian_eig(PAULI_X)
-        assert np.allclose(vals, [1.0, -1.0])
-        assert unitarity_defect(vecs) <= 1e-9
-
-    def test_degenerate_identity(self):
-        vals, vecs = hermitian_eig(np.eye(4))
-        assert np.allclose(vals, 1.0)
-        assert unitarity_defect(vecs) <= 1e-9
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            dim = int(rng.integers(1, 9))
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            h = g + g.conj().T
-            vals, vecs = hermitian_eig(h)
-            assert np.all(np.diff(vals) <= 1e-12)
-            err = np.linalg.norm(h - (vecs * vals) @ vecs.conj().T)
-            assert err <= 1e-9 * max(1.0, np.linalg.norm(h))
-            assert unitarity_defect(vecs) <= 1e-9
 
 
 class TestHaarUnitary:
@@ -298,18 +235,12 @@ class TestHaarStack:
             ginibre_stack(2, [rng], -1)
 
 
-class TestHaarState:
-    def test_normalized(self):
-        rng = np.random.default_rng(7)
-        for dim in (1, 2, 5):
-            psi = haar_state(dim, rng)
-            assert np.linalg.norm(psi) == pytest.approx(1.0)
-
-    def test_rejects_dim_zero(self):
-        with pytest.raises(ValueError):
-            haar_state(0, np.random.default_rng(0))
-
-
 def test_tolerance_constants_exposed():
     assert linalg.UNITARY_TOL == 1e-9
     assert linalg.RANK_CUTOFF == 1e-12
+    assert not hasattr(linalg, "HERMITIAN_TOL")
+
+
+def test_as_matrix_rejects_nan():
+    with pytest.raises(ValueError):
+        as_matrix(np.array([[np.nan, 0], [0, 1]]))
