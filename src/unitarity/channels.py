@@ -154,21 +154,31 @@ def validate(ch: KrausChannel, tol: float = TRACE_PRESERVATION_TOL) -> Validatio
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
-    acc = np.zeros((ch.dim, ch.dim), dtype=np.complex128)
-    for op in ch.kraus:
-        acc += op.conj().T @ op
-    residual = float(np.linalg.norm(acc - np.eye(ch.dim)))
+    residual = float(_trace_residuals(np.stack(ch.kraus)[None])[0])
     return ValidationReport(residual=residual, passed=residual <= tol, tol=tol)
+
+
+def _trace_residuals(kraus: np.ndarray) -> np.ndarray:
+    """||sum_k E_k† E_k - I||_F of each channel of a (B, K, n, n) Kraus stack."""
+    acc = np.einsum("bkji,bkjl->bil", kraus.conj(), kraus)
+    return np.linalg.norm(acc - np.eye(kraus.shape[-1]), axis=(-2, -1))
+
+
+def _check_trace_residuals(residuals: np.ndarray) -> None:
+    """Raise ChannelValidationError for the first residual above
+    TRACE_PRESERVATION_TOL, in stack order."""
+    failed = np.flatnonzero(~(residuals <= TRACE_PRESERVATION_TOL))
+    if failed.size:
+        raise ChannelValidationError(
+            f"channel is not trace preserving (residual {residuals[failed[0]]:.3e}"
+            f" > {TRACE_PRESERVATION_TOL:.1e})"
+        )
 
 
 def require_trace_preserving(ch: KrausChannel) -> None:
     """Raise ChannelValidationError if the channel is not trace preserving
     within TRACE_PRESERVATION_TOL."""
-    report = validate(ch)
-    if not report.passed:
-        raise ChannelValidationError(
-            f"channel is not trace preserving (residual {report.residual:.3e} > {report.tol:.1e})"
-        )
+    _check_trace_residuals(_trace_residuals(np.stack(ch.kraus)[None]))
 
 
 def apply_channel(ch: KrausChannel, rho) -> np.ndarray:

@@ -39,8 +39,9 @@ then :func:`_du_stack` each channel's route, decided once, and its DU
 fields. Every consumer reads that record. The public functions are batches
 of one: :func:`du` is the whole pipeline, :func:`du_bounds` stage 2 and
 :func:`du_optimize` stages 1, 2 and 5 (the reference the exact routes are
-tested against). The bulk samplers of :mod:`unitarity.harness` feed the
-pipeline a chunk at a time.
+tested against). The drivers of :mod:`unitarity.harness` feed the pipeline
+whole stacks: the bulk samplers a chunk at a time, the closed-form table
+and the witness one stack per Kraus-stack shape.
 """
 
 from __future__ import annotations

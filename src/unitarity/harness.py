@@ -3,7 +3,14 @@ random-channel DU distributions, and the DU-increase non-Markovianity
 witness.
 
 The drivers sample channels and aggregate results; every DU and bound comes
-from the one pipeline in :mod:`unitarity.du`.
+from the one pipeline in :mod:`unitarity.du`, which every driver feeds a
+stack at a time through ``_du_stack``, never one ``du()`` call per channel.
+
+The closed-form table and the witness take given channels. They check
+every channel for trace preservation, then run one stack per Kraus-stack
+shape (dim, n_ops), in which each channel has the generator
+``np.random.default_rng(0)`` that ``du(ch)`` builds when given none, so
+each value and ``method`` label is ``du(ch, restarts)``'s bit for bit.
 
 Both randomized studies sample through one generator, ``_sample``, which
 gives attempt k under a study's spawn key the integer seed
@@ -34,8 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import STANDARD_KINDS, KrausChannel, _dilation_kraus_stack, standard_channel
-from .du import _du_stack, _DuStack, du
+from .channels import (
+    STANDARD_KINDS,
+    KrausChannel,
+    _check_trace_residuals,
+    _dilation_kraus_stack,
+    _trace_residuals,
+    standard_channel,
+)
+from .du import _ROUTES, _du_stack, _DuStack
 from .linalg import _require_at_least
 
 CHANNEL_FAMILIES = STANDARD_KINDS
@@ -83,25 +97,68 @@ class Table1Report:
 
 
 def run_table1(grid: int = 51, restarts: int = 8) -> Table1Report:
-    """``du()`` vs closed form for every standard family over a grid of
-    ``grid`` >= 1 points."""
+    """DU vs closed form for every standard family over a grid of
+    ``grid`` >= 1 points, each row's value and method those of
+    ``du(standard_channel(family, p), restarts)``."""
     _require_at_least("grid", grid, 1)
+    grid_points = np.linspace(0.0, 1.0, grid).tolist()
+    points = [(family, p) for family in CHANNEL_FAMILIES for p in grid_points]
+    values, routes = _du_channels([standard_channel(*point) for point in points], restarts)
     rows = []
-    for family in CHANNEL_FAMILIES:
-        for p in np.linspace(0.0, 1.0, grid):
-            res, _ = du(standard_channel(family, float(p)), restarts=restarts)
-            ref = closed_form_du(family, float(p))
-            rows.append(
-                Table1Row(
-                    family=family,
-                    param=float(p),
-                    du_value=res.value,
-                    closed_form=ref,
-                    error=abs(res.value - ref),
-                    method=res.method,
-                )
+    for (family, p), value, route in zip(points, values.tolist(), routes.tolist()):
+        ref = closed_form_du(family, p)
+        rows.append(
+            Table1Row(
+                family=family,
+                param=p,
+                du_value=value,
+                closed_form=ref,
+                error=abs(value - ref),
+                method=_ROUTES[route],
             )
+        )
     return Table1Report(rows=tuple(rows), max_abs_error=max(r.error for r in rows))
+
+
+def _du_channels(channels, restarts: int) -> tuple[np.ndarray, np.ndarray]:
+    """DU and route (an index into the ``method`` labels) of each channel,
+    bit for bit as ``du(ch, restarts=restarts)`` gives them.
+
+    The channels are grouped by Kraus-stack shape (dim, n_ops), and each
+    group runs through the DU core as one stack (see :func:`_du_group`).
+    Every channel is checked for trace preservation first; the first that
+    fails, in input order, raises ChannelValidationError.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, ch in enumerate(channels):
+        groups.setdefault((ch.dim, ch.n_ops), []).append(i)
+    stacks = [(idx, np.array([channels[i].kraus for i in idx])) for idx in groups.values()]
+    residuals = np.empty(len(channels))
+    for idx, kraus in stacks:
+        residuals[idx] = _trace_residuals(kraus)
+    _check_trace_residuals(residuals)
+    values = np.empty(len(channels))
+    routes = np.empty(len(channels), dtype=int)
+    for idx, kraus in stacks:
+        values[idx], routes[idx] = _du_group(kraus, restarts)
+    return values, routes
+
+
+def _du_group(kraus: np.ndarray, restarts: int) -> tuple[np.ndarray, np.ndarray]:
+    """DU and route of each channel of a (B, K, n, n) stack of trace-preserving
+    Kraus sets, each with the generator ``default_rng(0)`` that ``du`` builds.
+
+    The DU core pads a channel's canonical set with zero operators up to the
+    largest rank in its stack. That leaves its DU unchanged but not its
+    rounding, so the channels of lower rank run again as a stack of their own.
+    """
+    s = _du_stack(kraus, _generators(np.zeros(len(kraus), np.uint64)), restarts)
+    values, routes = s.du, s.route
+    rank = np.count_nonzero(s.singular_values[:, :, 0], axis=1)
+    lower = np.flatnonzero(rank < rank.max())
+    if lower.size:
+        values[lower], routes[lower] = _du_group(kraus[lower], restarts)
+    return values, routes
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +582,7 @@ def run_witness(traj: Trajectory, threshold: float = 1e-6) -> WitnessReport:
     which must be a finite number of at least 0."""
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
-    values = np.array([du(ch, restarts=WITNESS_RESTARTS)[0].value for ch in traj.channels])
+    values = _du_channels(traj.channels, WITNESS_RESTARTS)[0]
     increases = []
     for i in range(len(values) - 1):
         delta = values[i + 1] - values[i]

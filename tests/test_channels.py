@@ -23,6 +23,7 @@ from unitarity.channels import (
     PROPORTIONALITY_TOL,
     _canonical_stack,
     _dilation_kraus_stack,
+    _trace_residuals,
     _unitary_multiples,
 )
 from unitarity.linalg import _svd_polar, haar_unitary
@@ -74,6 +75,18 @@ class TestValidate:
     def test_rejects_bad_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
             validate(standard_channel("bit_flip", 0.3), tol=tol)
+
+    def test_stack_residuals(self):
+        # validate is a stack of one; each residual is ||sum_k E_k† E_k - I||_F
+        rng = np.random.default_rng(3)
+        chans = [random_channel(3, 2, rng) for _ in range(4)]
+        chans.append(KrausChannel(3, (0.9 * np.eye(3), np.zeros((3, 3)))))
+        residuals = _trace_residuals(np.stack([np.stack(ch.kraus) for ch in chans]))
+        assert residuals.tolist() == [validate(ch).residual for ch in chans]
+        want = [np.linalg.norm(sum(op.conj().T @ op for op in ch.kraus) - np.eye(3))
+                for ch in chans]
+        assert np.allclose(residuals, want, rtol=0.0, atol=1e-15)
+        assert residuals[-1] == pytest.approx(0.19 * np.sqrt(3.0), abs=1e-15)
 
     def test_require_raises(self):
         with pytest.raises(ChannelValidationError):

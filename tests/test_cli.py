@@ -336,6 +336,21 @@ class TestWitnessCommand:
         assert main(["witness", str(path), "--threshold", "0"]) == 0
         assert "inconclusive" in capsys.readouterr().out
 
+    def test_non_trace_preserving_channel_exit_1(self, tmp_path, capsys):
+        traj = {
+            "dim": 2,
+            "times": [0.0, 1.0, 2.0],
+            "channels": [
+                {"standard": "amplitude_damping", "param": 0.0},
+                {"dim": 2, "kraus": [[[[0.9, 0], [0, 0]], [[0, 0], [0.9, 0]]]]},
+                {"standard": "amplitude_damping", "param": 0.2},
+            ],
+        }
+        path = tmp_path / "traj.json"
+        path.write_text(json.dumps(traj))
+        assert main(["witness", str(path)]) == 1
+        assert "not trace preserving" in capsys.readouterr().err
+
     def test_time_mismatch_exit_2(self, tmp_path):
         path = tmp_path / "traj.json"
         path.write_text(json.dumps({"dim": 2, "times": [0.0], "channels": []}))

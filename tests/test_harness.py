@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unitarity import (
+    ChannelValidationError,
+    KrausChannel,
     Trajectory,
     closed_form_du,
     du,
     harness,
     random_channel,
+    require_trace_preserving,
     run_distribution,
     run_table1,
     run_tightness,
@@ -37,13 +41,22 @@ from unitarity.io import (
     write_tightness_csv,
 )
 
-from helpers import DU_MODULE, reference_dilation_kraus
+from helpers import (
+    DU_MODULE,
+    reference_dilation_kraus,
+    reference_table1_rows,
+    reference_witness_values,
+    remix_kraus,
+)
 
 
 @pytest.mark.parametrize(
     "call, name",
     [
         pytest.param(lambda: run_table1(grid=0), "grid", id="table1-grid-0"),
+        pytest.param(
+            lambda: run_table1(grid=2, restarts=-1), "restarts", id="table1-restarts-negative"
+        ),
         pytest.param(lambda: run_tightness(5, sys_dim=0), "sys_dim", id="tightness-sys-dim-0"),
         pytest.param(
             lambda: run_distribution(5, [2], seed=1, sys_dim=0),
@@ -119,6 +132,7 @@ def test_driver_arguments_out_of_range_name_the_parameter(call, name):
             "restarts",
             id="du-qubit-restarts",
         ),
+        pytest.param(lambda: run_table1(grid=2, restarts=2.0), "restarts", id="table1-restarts"),
     ],
 )
 def test_non_integer_arguments_name_the_parameter(call, name):
@@ -172,6 +186,12 @@ class TestTable1:
                 assert row.method == "exact_qubit"
             else:
                 assert row.method == "exact_mixed_unitary"
+
+    @pytest.mark.parametrize("grid", [1, 2, 51])
+    def test_rows_match_per_point_du(self, grid):
+        report = run_table1(grid=grid)
+        assert report.rows == reference_table1_rows(grid)
+        assert report.max_abs_error == max(r.error for r in report.rows)
 
     def test_specific_parameters(self):
         # depolarizing at p = 4/7 sits on the identity branch: 1 - 3/7
@@ -521,6 +541,48 @@ class TestWitness:
     def test_threshold_suppresses_tiny_wiggles(self):
         report = run_witness(self.damping_trajectory([0.5, 0.5 - 1e-9]), threshold=1e-6)
         assert not report.non_markovian
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_values_match_per_channel_du(self, n):
+        # Kraus counts 1-4 in one trajectory: several stacks, and every
+        # channel that takes the ascent draws its own default_rng(0) restarts.
+        rng = np.random.default_rng(n)
+        chans = tuple(random_channel(n, int(rng.integers(1, 5)), rng) for _ in range(12))
+        traj = Trajectory(times=tuple(range(12)), channels=chans)
+        assert len({ch.n_ops for ch in chans}) > 1
+        assert np.array_equal(run_witness(traj).du_values, reference_witness_values(traj))
+
+    def test_lower_rank_channel_matches_per_channel_du(self):
+        # 4 Kraus operators of rank 2 share a stack with rank-4 channels,
+        # whose canonical sets are the larger: it must run as its own stack.
+        rng = np.random.default_rng(11)
+        low = remix_kraus(random_channel(3, 2, rng), rng, extra=2)
+        chans = (random_channel(3, 4, rng), low, random_channel(3, 4, rng), low)
+        assert low.n_ops == 4
+        traj = Trajectory(times=(0.0, 1.0, 2.0, 3.0), channels=chans)
+        assert np.array_equal(run_witness(traj).du_values, reference_witness_values(traj))
+
+    def test_single_kraus_point_matches_per_channel_du(self):
+        # amplitude damping at gamma = 0 has one Kraus operator, the others two
+        traj = self.damping_trajectory([0.0, 0.5, 0.2, 0.0, 0.7])
+        assert [ch.n_ops for ch in traj.channels] == [1, 2, 2, 1, 2]
+        report = run_witness(traj)
+        assert np.array_equal(report.du_values, reference_witness_values(traj))
+        assert report.du_values[0] == report.du_values[3] == 1.0
+
+    def test_non_trace_preserving_channel_raises(self):
+        # Two bad channels in different stacks, the stack of the later one
+        # first: the first in trajectory order is the one reported, with
+        # require_trace_preserving's message.
+        one_op = standard_channel("amplitude_damping", 0.0)
+        first = KrausChannel(2, (0.9 * np.eye(2), np.zeros((2, 2))))
+        second = KrausChannel(2, (0.5 * np.eye(2),))
+        chans = (one_op, first, standard_channel("bit_flip", 0.3), second)
+        traj = Trajectory(times=(0.0, 1.0, 2.0, 3.0), channels=chans)
+        with pytest.raises(ChannelValidationError) as raised:
+            require_trace_preserving(first)
+        with pytest.raises(ChannelValidationError, match=re.escape(str(raised.value))):
+            run_witness(traj)
 
     def test_trajectory_validation(self):
         ch = standard_channel("bit_flip", 0.5)
