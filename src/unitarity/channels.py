@@ -89,15 +89,12 @@ class CanonicalKraus:
     """Orthogonalized Kraus set with <F_i, F_k> = delta_ik * weights[k].
 
     ``ops`` are sorted by descending weight; operators with weight at or
-    below the rank cutoff are dropped. ``mixing`` is the full unitary u of
-    the diagonalization with F_i = sum_j conj(u[i, j]) * E_j; rows beyond
-    len(ops) correspond to the dropped zero-weight combinations.
+    below the rank cutoff are dropped.
     """
 
     dim: int
     ops: tuple[np.ndarray, ...]
     weights: np.ndarray
-    mixing: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,10 +235,9 @@ def _canonical_stack(kraus: np.ndarray):
     """Canonical form of a (B, K, n, n) stack of Kraus sets.
 
     One batched ``eigh`` of the correlation matrices. Returns the weights
-    (B, R), the operators (B, R, n, n) and the eigenvector matrices
-    (B, K, K), the conjugate transposes of the mixing matrices. R is the
-    largest rank in the stack (at most n^2, else ChannelValidationError);
-    weights at or below RANK_CUTOFF and their operators are set to zero.
+    (B, R) and the operators (B, R, n, n). R is the largest rank in the
+    stack (at most n^2, else ChannelValidationError); weights at or below
+    RANK_CUTOFF and their operators are set to zero.
     """
     n_batch, k, n = kraus.shape[:3]
     flat = kraus.reshape(n_batch, k, n * n)
@@ -258,7 +254,7 @@ def _canonical_stack(kraus: np.ndarray):
     keep = keep[:, :rank]
     ops = np.einsum("bji,bjxy->bixy", vecs, kraus)[:, :rank]
     weights = np.where(keep, vals[:, :rank], 0.0)
-    return weights, np.where(keep[..., None, None], ops, 0.0), vecs
+    return weights, np.where(keep[..., None, None], ops, 0.0)
 
 
 def canonicalize(ch: KrausChannel) -> CanonicalKraus:
@@ -269,12 +265,11 @@ def canonicalize(ch: KrausChannel) -> CanonicalKraus:
     Combinations with weight at or below RANK_CUTOFF are discarded; at most
     dim^2 operators survive.
     """
-    weights, ops, vecs = _canonical_stack(np.stack(ch.kraus)[None])
+    weights, ops = _canonical_stack(np.stack(ch.kraus)[None])
     return CanonicalKraus(
         dim=ch.dim,
         ops=tuple(np.ascontiguousarray(op) for op in ops[0]),
         weights=weights[0],
-        mixing=vecs[0].conj().T,
     )
 
 

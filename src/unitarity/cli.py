@@ -181,9 +181,12 @@ def _finite_float(low: float, strict: bool):
 def _dim_list(text: str) -> list[int]:
     """argparse type: a nonempty comma-separated list of distinct integers (``--out``
     writes one file per dimension), each at least 1."""
-    dims = [_int_at_least(1)(tok) for tok in text.split(",") if tok]
-    if not dims:
+    tokens = text.split(",")
+    if not any(tokens):
         raise argparse.ArgumentTypeError("expected at least one dimension")
+    if not all(tokens):
+        raise argparse.ArgumentTypeError(f"expected no empty entries, got {text}")
+    dims = [_int_at_least(1)(tok) for tok in tokens]
     if len(set(dims)) < len(dims):
         raise argparse.ArgumentTypeError(f"expected distinct dimensions, got {text}")
     return dims

@@ -58,7 +58,6 @@ from .channels import (
     PAULI_Z,
     CanonicalKraus,
     KrausChannel,
-    MixedUnitaryForm,
     _canonical_stack,
     _unitary_multiples,
     require_trace_preserving,
@@ -68,9 +67,6 @@ from .linalg import _require_at_least, _svd_polar, ginibre_stack, haar_from_gini
 EXACT_METHOD = "exact_mixed_unitary"
 QUBIT_METHOD = "exact_qubit"
 OPTIMIZER_METHOD = "numerical_optimizer"
-
-# Orthogonality tolerance on |<U_i, U_k>| for the exact path hypothesis.
-ORTHOGONALITY_TOL = 1e-8
 
 # A start converges when its objective f improves by less than
 # CONVERGENCE_TOL * max(1, f) in a sweep.
@@ -84,10 +80,6 @@ DEFAULT_RESTARTS = 32
 # Bound-consistency guard: computed value must sit in [lb - BOUND_SLACK,
 # ub + BOUND_SLACK].
 BOUND_SLACK = 1e-9
-
-
-class OrthogonalityError(ValueError):
-    """Exact-path hypothesis violated: unitaries are not pairwise orthogonal."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,32 +122,6 @@ class BoundReport:
     singular_values: tuple[np.ndarray, ...]
     witness_lb1: np.ndarray
     witness_lb2: np.ndarray
-
-
-def du_exact_mixed_unitary(mu: MixedUnitaryForm) -> DuResult:
-    """Exact DU of a channel written with pairwise-orthogonal unitaries.
-
-    For E_k = alpha_k U_k with <U_i, U_k> = 0 for i != k, the DU equals
-    max_k |alpha_k|^2 and the corresponding U_k is a maximizer.
-    """
-    n = mu.dim
-    for i in range(len(mu.unitaries)):
-        for k in range(i + 1, len(mu.unitaries)):
-            overlap = abs(np.vdot(mu.unitaries[i], mu.unitaries[k]))
-            if overlap > ORTHOGONALITY_TOL * n:
-                raise OrthogonalityError(
-                    f"unitaries {i} and {k} overlap by {overlap:.3e}; "
-                    "use the bounds/optimizer path"
-                )
-    weights = np.abs(mu.coefficients) ** 2
-    best = int(np.argmax(weights))
-    return DuResult(
-        value=float(weights[best]),
-        method=EXACT_METHOD,
-        witness=mu.unitaries[best],
-        iterations=0,
-        converged=True,
-    )
 
 
 class _DuStack(NamedTuple):
@@ -371,7 +337,7 @@ def du_optimize(
     """
     kraus, rngs = _stack_of_one(ch, rng)
     _require_at_least("restarts", restarts, 0)
-    _, ops, _ = _canonical_stack(kraus)
+    _, ops = _canonical_stack(kraus)
     bounds = _bound_stack(ops)
     value, witness, sweeps, converged, traces, sweeps_total = _ascend(
         ops, bounds.witnesses, rngs, restarts, trace
@@ -396,7 +362,7 @@ def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
     """
     _require_at_least("restarts", restarts, 0)
     n = kraus.shape[-1]
-    weights, ops, _ = _canonical_stack(kraus)
+    weights, ops = _canonical_stack(kraus)
     bounds = _bound_stack(ops)
     exact = _unitary_multiples(bounds.singular_values)[0].all(axis=1)
     route = np.where(exact, 0, 1 if n == 2 else 2)  # indices into _ROUTES

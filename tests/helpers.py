@@ -44,6 +44,33 @@ def qubit_du_oracle(kraus_ops):
     return float(vals[-1]) / 4.0, witness
 
 
+def reference_mixed_unitary_du(kraus) -> float:
+    """Exact DU of a channel whose canonical operators are multiples of
+    orthogonal unitaries, F_k = alpha_k U_k: max_k |alpha_k|^2.
+
+    The eigenvalues of the Kraus Gram matrix <E_j, E_k> are the canonical
+    weights ||F_k||^2 = n |alpha_k|^2, so the DU is its top eigenvalue
+    divided by n. Computed here without the package's canonical form.
+    """
+    ops = np.stack(kraus)
+    flat = ops.reshape(len(ops), -1)
+    return float(np.linalg.eigvalsh(flat.conj() @ flat.T)[-1]) / ops.shape[-1]
+
+
+def v_type_amplitude_damping(g) -> KrausChannel:
+    """Amplitude damping of levels 1..n-1 into level 0, n = len(g) + 1:
+    E_0 = diag(1, g_1, ..., g_{n-1}) and E_j = sqrt(1 - g_j^2) |0><j|, with
+    each g_j in [0, 1]. Its DU is (1 + sum_j g_j)^2 / n^2, at U = I."""
+    g = np.asarray(g, dtype=float)
+    n = g.size + 1
+    ops = [np.diag(np.concatenate([[1.0], g])).astype(np.complex128)]
+    for j, gj in enumerate(g, start=1):
+        op = np.zeros((n, n), dtype=np.complex128)
+        op[0, j] = np.sqrt(1.0 - gj * gj)
+        ops.append(op)
+    return KrausChannel(n, tuple(ops))
+
+
 def reference_table1_rows(grid: int, restarts: int = 8) -> tuple:
     """``run_table1(grid, restarts).rows`` by one ``du()`` per grid point, the
     per-channel loop the grouped driver must reproduce bit for bit."""

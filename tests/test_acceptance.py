@@ -14,14 +14,11 @@ import pytest
 
 from unitarity import (
     Trajectory,
-    as_mixed_unitary,
     average_fidelity,
     average_fidelity_mc,
-    canonicalize,
     closed_form_du,
     compose,
     du,
-    du_exact_mixed_unitary,
     du_optimize,
     fidelity_pair,
     haar_unitary,
@@ -36,7 +33,7 @@ from unitarity import (
 )
 from unitarity.harness import _evaluate_dilation_batch, attempt_seed
 
-from helpers import random_mixed_unitary_channel, remix_kraus
+from helpers import random_mixed_unitary_channel, reference_mixed_unitary_du, remix_kraus
 
 
 def announce(capsys, line: str) -> None:
@@ -87,11 +84,9 @@ def test_criterion_3_theorem_vs_optimizer(capsys):
     worst = 0.0
     for _ in range(1000):
         ch = random_mixed_unitary_channel(rng)
-        mu = as_mixed_unitary(canonicalize(ch))
-        assert mu is not None
-        exact = du_exact_mixed_unitary(mu)
+        assert du(ch)[0].method == "exact_mixed_unitary"
         opt = du_optimize(ch, restarts=4, rng=rng)
-        worst = max(worst, abs(exact.value - opt.value))
+        worst = max(worst, abs(reference_mixed_unitary_du(ch.kraus) - opt.value))
     elapsed = time.perf_counter() - t0
     try:
         assert worst < 1e-6

@@ -1,5 +1,6 @@
 """The public surface: its optional parameters, and the documented example."""
 
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -8,7 +9,16 @@ import numpy as np
 import pytest
 
 import unitarity
-from unitarity import Trajectory, random_channel, run_tightness, run_witness, standard_channel
+from unitarity import (
+    CanonicalKraus,
+    Trajectory,
+    random_channel,
+    run_tightness,
+    run_witness,
+    standard_channel,
+)
+
+from helpers import DU_MODULE
 
 # Every public name. Adding or deleting one must be a deliberate edit here.
 PUBLIC_NAMES = [
@@ -23,7 +33,6 @@ PUBLIC_NAMES = [
     "KrausChannel",
     "MixedUnitaryForm",
     "MonteCarloFidelity",
-    "OrthogonalityError",
     "Table1Report",
     "TightnessRecord",
     "TightnessResult",
@@ -42,7 +51,6 @@ PUBLIC_NAMES = [
     "convex_unitary_mixture",
     "du",
     "du_bounds",
-    "du_exact_mixed_unitary",
     "du_optimize",
     "fidelity_pair",
     "haar_unitary",
@@ -65,7 +73,7 @@ PUBLIC_NAMES = [
 
 def test_public_name_inventory():
     assert unitarity.__all__ == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 46
     for name in PUBLIC_NAMES:
         assert hasattr(unitarity, name)
 
@@ -80,6 +88,21 @@ def test_deleted_name_is_an_attribute_error(name):
         getattr(unitarity, name)
     with pytest.raises(AttributeError):
         getattr(unitarity.linalg, name)
+
+
+@pytest.mark.parametrize(
+    "name", ["du_exact_mixed_unitary", "OrthogonalityError", "ORTHOGONALITY_TOL"]
+)
+def test_deleted_exact_route_name_is_an_attribute_error(name):
+    # du() is the one exact mixed-unitary route: method "exact_mixed_unitary"
+    for module in (unitarity, DU_MODULE):
+        with pytest.raises(AttributeError):
+            getattr(module, name)
+
+
+def test_canonical_kraus_fields():
+    # the mixing matrix of the diagonalization is not kept
+    assert [f.name for f in dataclasses.fields(CanonicalKraus)] == ["dim", "ops", "weights"]
 
 
 # Every optional parameter of every public function. A new option, or the

@@ -237,6 +237,15 @@ class TestArgumentRanges:
         assert err.startswith("usage: unitarity")
         assert "argument --env-dims: expected at least one dimension" in err
 
+    @pytest.mark.parametrize("env_dims", ["2,,4", "2,"], ids=["inner", "trailing"])
+    def test_empty_env_dims_entry_is_a_usage_error(self, env_dims, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["distribution", "--samples", "3", "--seed", "1", "--env-dims", env_dims])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: unitarity")
+        assert f"argument --env-dims: expected no empty entries, got {env_dims}" in err
+
     def test_repeated_env_dim_is_a_usage_error(self, tmp_path, capsys):
         # --out writes one file per dimension, so a repeat would overwrite one
         out = tmp_path / "dd.csv"

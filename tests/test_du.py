@@ -4,14 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitarity import (
-    OrthogonalityError,
-    MixedUnitaryForm,
     as_mixed_unitary,
     canonicalize,
     compose,
     du,
     du_bounds,
-    du_exact_mixed_unitary,
     du_optimize,
     haar_unitary,
     identity_channel,
@@ -37,48 +34,37 @@ from helpers import (
     qubit_du_oracle,
     random_mixed_unitary_channel,
     reference_bounds,
+    reference_mixed_unitary_du,
     reference_unitary_multiples,
     remix_kraus,
+    v_type_amplitude_damping,
 )
 
 
 class TestExactPath:
     def test_depolarizing(self):
-        mu = as_mixed_unitary(canonicalize(standard_channel("depolarizing", 0.2)))
-        res = du_exact_mixed_unitary(mu)
+        res, _ = du(standard_channel("depolarizing", 0.2))
         assert res.value == pytest.approx(0.85, abs=1e-12)
         assert res.method == "exact_mixed_unitary"
 
     def test_bit_flip_half(self):
-        mu = as_mixed_unitary(canonicalize(standard_channel("bit_flip", 0.5)))
-        res = du_exact_mixed_unitary(mu)
+        res, _ = du(standard_channel("bit_flip", 0.5))
         assert res.value == pytest.approx(0.5, abs=1e-12)
+        assert res.method == "exact_mixed_unitary"
 
     def test_single_unitary(self):
         u = haar_unitary(2, np.random.default_rng(0))
-        mu = as_mixed_unitary(canonicalize(unitary_channel(u)))
-        assert du_exact_mixed_unitary(mu).value == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_non_orthogonal(self):
-        # I and a nearby rotation are far from orthogonal
-        theta = 0.1
-        rot = np.array(
-            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],
-            dtype=complex,
-        )
-        mu = MixedUnitaryForm(
-            dim=2,
-            unitaries=(np.eye(2, dtype=complex), rot),
-            coefficients=np.array([np.sqrt(0.5), np.sqrt(0.5)]),
-        )
-        with pytest.raises(OrthogonalityError):
-            du_exact_mixed_unitary(mu)
+        res, _ = du(unitary_channel(u))
+        assert res.value == pytest.approx(1.0, abs=1e-12)
+        assert res.method == "exact_mixed_unitary"
 
     def test_witness_reproduces_value(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             ch = random_mixed_unitary_channel(rng)
-            res = du_exact_mixed_unitary(as_mixed_unitary(canonicalize(ch)))
+            res, _ = du(ch)
+            assert res.method == "exact_mixed_unitary"
+            assert abs(res.value - reference_mixed_unitary_du(ch.kraus)) <= 1e-12
             assert abs(process_fidelity(ch, res.witness) - res.value) <= 1e-9
 
     def test_leading_unitary_multiple_alone_is_not_exact(self):
@@ -160,7 +146,7 @@ class TestQubitBoundStage:
 
     @staticmethod
     def check(kraus):
-        _, ops, _ = _canonical_stack(kraus)
+        _, ops = _canonical_stack(kraus)
         stack = _bound_stack(ops)
         for i, channel_ops in enumerate(ops):
             ref = reference_bounds(channel_ops)
@@ -207,9 +193,9 @@ class TestOptimizer:
         rng = np.random.default_rng(6)
         for _ in range(50):
             ch = random_mixed_unitary_channel(rng)
-            exact = du_exact_mixed_unitary(as_mixed_unitary(canonicalize(ch)))
+            assert du(ch)[0].method == "exact_mixed_unitary"
             opt = du_optimize(ch, restarts=4, rng=rng)
-            assert abs(exact.value - opt.value) < 1e-6
+            assert abs(reference_mixed_unitary_du(ch.kraus) - opt.value) < 1e-6
 
     def test_matches_closed_form_oracle(self):
         # independent check: qubit DU reduces to a 4x4 real symmetric
@@ -262,7 +248,7 @@ class TestOptimizer:
 
         monkeypatch.setattr(DU_MODULE, "_svd_polar", counting)
         for b in range(3):
-            _, ops, _ = _canonical_stack(np.stack(random_channel(n, 3, rng).kraus)[None])
+            _, ops = _canonical_stack(np.stack(random_channel(n, 3, rng).kraus)[None])
             warm = _bound_stack(ops).witnesses
             calls.clear()
             *_, sweeps_total = _ascend(ops, warm, [np.random.default_rng(b)], 6, False)
@@ -371,6 +357,30 @@ class TestDispatcher:
         res, _ = du(random_channel(n, env, np.random.default_rng([12, n, env])))
         assert (res.method, res.converged) == ("numerical_optimizer", True)
         assert abs(res.value - self.PINNED[n, env]) <= 1e-11
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_ascent_reaches_v_type_amplitude_damping_closed_form(self, n):
+        # E_0 = diag(1, g), E_j = sqrt(1 - g_j^2) |0><j|: no canonical operator
+        # is a unitary multiple, so the ascent must find DU = (1 + sum g)^2 / n^2.
+        # The lb1 warm start, polar(E_0) = I, is already a maximizer, so the
+        # Haar starts must also climb to it on their own.
+        rng = np.random.default_rng(3)
+        for i in range(10):
+            g = rng.uniform(0.0, 1.0, n - 1)
+            ch = v_type_amplitude_damping(g)
+            want = (1.0 + g.sum()) ** 2 / n**2
+            res, _ = du(ch)
+            assert res.method == "numerical_optimizer"
+            assert abs(res.value - want) <= 1e-9
+            _, ops = _canonical_stack(np.stack(ch.kraus)[None])
+            no_warm = np.zeros((1, 0, n, n), dtype=np.complex128)
+            value = _ascend(ops, no_warm, [np.random.default_rng(i)], 8, False)[0]
+            assert abs(value[0] - want) <= 1e-9
+
+    def test_ascent_v_type_amplitude_damping_with_a_zero_rate(self):
+        res, _ = du(v_type_amplitude_damping([0.0, 0.5]))
+        assert res.method == "numerical_optimizer"
+        assert abs(res.value - 0.25) <= 1e-9
 
     def test_table_closed_forms(self):
         from unitarity import closed_form_du
