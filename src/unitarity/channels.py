@@ -32,6 +32,7 @@ PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+_PAULIS = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
 
 STANDARD_KINDS = ("depolarizing", "bit_flip", "phase_flip", "amplitude_damping")
 
@@ -44,25 +45,36 @@ class ChannelValidationError(ValueError):
 class KrausChannel:
     """A quantum process given by Kraus operators on a dim-dimensional system.
 
-    The constructor checks shapes and finiteness only; trace preservation is
+    ``kraus`` may be given as any iterable of dim x dim operators (a tuple, a
+    list, a generator or a (K, dim, dim) array); the instance holds a copy,
+    one C-ordered, read-only complex128 array of shape (K, dim, dim). The
+    constructor checks shapes and finiteness only; trace preservation is
     checked by :func:`validate` (report style) or enforced by
     :func:`require_trace_preserving`. Instances are immutable.
     """
 
     dim: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self):
         _require_at_least("dim", self.dim, 1)
-        ops = tuple(as_matrix(op) for op in self.kraus)
-        if not ops:
+        ops = self.kraus
+        if not isinstance(ops, np.ndarray):
+            ops = [np.asarray(op) for op in ops]
+        if len(ops) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
         for op in ops:
+            if op.ndim != 2:
+                raise ValueError(f"expected a 2-D matrix, got ndim={op.ndim}")
             if op.shape != (self.dim, self.dim):
                 raise ValueError(
                     f"Kraus operator shape {op.shape} does not match dim {self.dim}"
                 )
-        object.__setattr__(self, "kraus", ops)
+        kraus = np.array(ops, dtype=np.complex128)
+        if not np.isfinite(kraus).all():
+            raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        kraus.flags.writeable = False
+        object.__setattr__(self, "kraus", kraus)
 
     @property
     def n_ops(self) -> int:
@@ -89,11 +101,12 @@ class CanonicalKraus:
     """Orthogonalized Kraus set with <F_i, F_k> = delta_ik * weights[k].
 
     ``ops`` are sorted by descending weight; operators with weight at or
-    below the rank cutoff are dropped.
+    below the rank cutoff are dropped. From :func:`canonicalize`, ``ops``
+    is one C-ordered, read-only complex128 array of shape (R, dim, dim).
     """
 
     dim: int
-    ops: tuple[np.ndarray, ...]
+    ops: np.ndarray
     weights: np.ndarray
 
 
@@ -105,11 +118,13 @@ class MixedUnitaryForm:
     in the Hilbert-Schmidt inner product, as canonical operators are at every
     dimension. For trace-preserving channels sum_k |alpha_k|^2 = 1. Each U_k
     carries the fixed phase convention that its first nonzero entry (in
-    row-major scan) is real positive.
+    row-major scan) is real positive. ``unitaries`` is one C-ordered,
+    read-only complex128 array of shape (K, dim, dim), ``coefficients``
+    the alpha_k, shape (K,).
     """
 
     dim: int
-    unitaries: tuple[np.ndarray, ...]
+    unitaries: np.ndarray
     coefficients: np.ndarray
 
 
@@ -130,7 +145,7 @@ def identity_channel(dim: int) -> KrausChannel:
 def unitary_channel(u) -> KrausChannel:
     """Channel with the single Kraus operator u."""
     u = as_matrix(u)
-    return KrausChannel(u.shape[0], (u,))
+    return KrausChannel(len(u), u[None])
 
 
 def convex_unitary_mixture(unitaries, probs) -> KrausChannel:
@@ -138,10 +153,10 @@ def convex_unitary_mixture(unitaries, probs) -> KrausChannel:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or len(unitaries) != probs.size:
         raise ValueError("need one probability per unitary")
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
+    if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
         raise ValueError("probabilities must be nonnegative and sum to 1")
-    ops = tuple(np.sqrt(p) * as_matrix(u) for p, u in zip(probs, unitaries))
-    return KrausChannel(ops[0].shape[0], ops)
+    us = KrausChannel(len(as_matrix(unitaries[0])), unitaries)
+    return KrausChannel(us.dim, np.sqrt(probs)[:, None, None] * us.kraus)
 
 
 def validate(ch: KrausChannel, tol: float = TRACE_PRESERVATION_TOL) -> ValidationReport:
@@ -151,7 +166,7 @@ def validate(ch: KrausChannel, tol: float = TRACE_PRESERVATION_TOL) -> Validatio
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
-    residual = float(_trace_residuals(np.stack(ch.kraus)[None])[0])
+    residual = float(_trace_residuals(ch.kraus[None])[0])
     return ValidationReport(residual=residual, passed=residual <= tol, tol=tol)
 
 
@@ -175,7 +190,7 @@ def _check_trace_residuals(residuals: np.ndarray) -> None:
 def require_trace_preserving(ch: KrausChannel) -> None:
     """Raise ChannelValidationError if the channel is not trace preserving
     within TRACE_PRESERVATION_TOL."""
-    _check_trace_residuals(_trace_residuals(np.stack(ch.kraus)[None]))
+    _check_trace_residuals(_trace_residuals(ch.kraus[None]))
 
 
 def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
@@ -187,10 +202,7 @@ def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
         raise ValueError("state must be Hermitian")
     if abs(np.trace(rho) - 1.0) > 1e-9:
         raise ValueError("state must have unit trace")
-    out = np.zeros_like(rho)
-    for op in ch.kraus:
-        out += op @ rho @ op.conj().T
-    return out
+    return (ch.kraus @ rho @ ch.kraus.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
@@ -199,7 +211,7 @@ def kraus_to_chi(ch: KrausChannel) -> ChiMatrix:
     ``vec`` is row-major flattening, matching the A_j = |m><n| basis with
     j = m*dim + n. The result is Hermitian PSD by construction.
     """
-    v = np.stack([op.ravel() for op in ch.kraus])
+    v = ch.kraus.reshape(ch.n_ops, -1)
     chi = v.T @ v.conj()
     return ChiMatrix(ch.dim, chi)
 
@@ -220,15 +232,11 @@ def chi_to_kraus(x: ChiMatrix) -> KrausChannel:
         raise ChannelValidationError(
             f"chi matrix is not PSD (min eigenvalue {vals.min():.3e})"
         )
-    order = np.argsort(vals)[::-1]
-    ops = []
-    for k in order:
-        if vals[k] <= RANK_CUTOFF:
-            break
-        ops.append(np.sqrt(vals[k]) * vecs[:, k].reshape(x.dim, x.dim))
-    if not ops:
+    keep = np.flatnonzero(vals > RANK_CUTOFF)[::-1]  # eigh sorts ascending
+    if not keep.size:
         raise ChannelValidationError("chi matrix has no weight above the rank cutoff")
-    return KrausChannel(x.dim, tuple(ops))
+    ops = np.sqrt(vals[keep])[:, None] * vecs[:, keep].T
+    return KrausChannel(x.dim, ops.reshape(-1, x.dim, x.dim))
 
 
 def _canonical_stack(kraus: np.ndarray):
@@ -265,12 +273,9 @@ def canonicalize(ch: KrausChannel) -> CanonicalKraus:
     Combinations with weight at or below RANK_CUTOFF are discarded; at most
     dim^2 operators survive.
     """
-    weights, ops = _canonical_stack(np.stack(ch.kraus)[None])
-    return CanonicalKraus(
-        dim=ch.dim,
-        ops=tuple(np.ascontiguousarray(op) for op in ops[0]),
-        weights=weights[0],
-    )
+    weights, ops = _canonical_stack(ch.kraus[None])
+    ops.flags.writeable = False
+    return CanonicalKraus(dim=ch.dim, ops=ops[0], weights=weights[0])
 
 
 def _unitary_multiples(s: np.ndarray):
@@ -292,19 +297,21 @@ def as_mixed_unitary(ck: CanonicalKraus) -> MixedUnitaryForm | None:
     Each operator is tested for F† F proportional to I within
     PROPORTIONALITY_TOL (Frobenius norm, relative to max(1, tr F† F)), the
     DU core's test. Returns None when any operator fails; this is the
-    regular "not mixed-unitary" outcome, not an error.
+    regular "not mixed-unitary" outcome, not an error. ``ck.ops`` may be
+    any (K, n, n) array or sequence of n x n operators.
     """
-    ok, c = _unitary_multiples(_svd_polar(np.stack(ck.ops))[0])
+    ops = np.asarray(ck.ops, dtype=np.complex128)
+    ok, c = _unitary_multiples(_svd_polar(ops)[0])
     if not ok.all():
         return None
-    unitaries, coeffs = [], []
-    for f_op, a in zip(ck.ops, np.sqrt(c)):
-        u = f_op / a
-        first = u[np.abs(u) > 1e-12]  # row-major
-        phase = first[0] / abs(first[0]) if first.size else 1.0
-        unitaries.append(np.ascontiguousarray(u / phase))
-        coeffs.append(a * phase)
-    return MixedUnitaryForm(dim=ck.dim, unitaries=tuple(unitaries), coefficients=np.asarray(coeffs))
+    a = np.sqrt(c)
+    u = ops / a[:, None, None]
+    flat = u.reshape(len(u), -1)
+    first = flat[np.arange(len(u)), np.argmax(np.abs(flat) > 1e-12, axis=1)]  # row-major
+    phase = np.where(np.abs(first) > 1e-12, first / np.abs(first), 1.0)
+    unitaries = u / phase[:, None, None]
+    unitaries.flags.writeable = False
+    return MixedUnitaryForm(dim=ck.dim, unitaries=unitaries, coefficients=a * phase)
 
 
 def standard_channel(kind: str, param: float) -> KrausChannel:
@@ -321,25 +328,19 @@ def standard_channel(kind: str, param: float) -> KrausChannel:
     if not 0.0 <= param <= 1.0:
         raise ValueError(f"parameter must be in [0, 1], got {param}")
     if kind == "depolarizing":
-        weighted = [
-            (1.0 - 0.75 * param, PAULI_I),
-            (0.25 * param, PAULI_X),
-            (0.25 * param, PAULI_Y),
-            (0.25 * param, PAULI_Z),
-        ]
+        weights = [1.0 - 0.75 * param] + [0.25 * param] * 3
     elif kind == "bit_flip":
-        weighted = [(param, PAULI_I), (1.0 - param, PAULI_X)]
+        weights = [param, 1.0 - param, 0.0, 0.0]
     elif kind == "phase_flip":
-        weighted = [(param, PAULI_I), (1.0 - param, PAULI_Z)]
+        weights = [param, 0.0, 0.0, 1.0 - param]
     elif kind == "amplitude_damping":
-        e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - param)]], dtype=np.complex128)
-        e1 = np.array([[0.0, np.sqrt(param)], [0.0, 0.0]], dtype=np.complex128)
-        ops = (e0,) if param == 0.0 else (e0, e1)
-        return KrausChannel(2, ops)
+        ops = np.array([[[1.0, 0.0], [0.0, np.sqrt(1.0 - param)]],
+                        [[0.0, np.sqrt(param)], [0.0, 0.0]]])
+        return KrausChannel(2, ops[:1] if param == 0.0 else ops)
     else:
         raise ValueError(f"unknown channel kind {kind!r}; expected one of {STANDARD_KINDS}")
-    ops = tuple(np.sqrt(w) * op for w, op in weighted if w != 0.0)
-    return KrausChannel(2, ops)
+    scales = np.sqrt(weights)
+    return KrausChannel(2, (scales[:, None, None] * _PAULIS)[scales != 0.0])
 
 
 def _dilation_kraus_stack(sys_dim: int, env_dim: int, rngs) -> np.ndarray:
@@ -370,8 +371,7 @@ def random_channel(sys_dim: int, env_dim: int, rng: np.random.Generator) -> Krau
     environment's dimension matters. A batch of one of the samplers' stack,
     so a sampler record's seed regenerates its channel bit for bit.
     """
-    ops = _dilation_kraus_stack(sys_dim, env_dim, [rng])[0]
-    return KrausChannel(sys_dim, tuple(ops))
+    return KrausChannel(sys_dim, _dilation_kraus_stack(sys_dim, env_dim, [rng])[0])
 
 
 def compose(f: KrausChannel, e: KrausChannel) -> KrausChannel:
@@ -379,6 +379,6 @@ def compose(f: KrausChannel, e: KrausChannel) -> KrausChannel:
     canonical orthogonal form (at most dim^2 operators)."""
     if f.dim != e.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {e.dim}")
-    products = tuple(fj @ ek for fj in f.kraus for ek in e.kraus)
+    products = (f.kraus[:, None] @ e.kraus).reshape(-1, f.dim, f.dim)
     ck = canonicalize(KrausChannel(f.dim, products))
     return KrausChannel(f.dim, ck.ops)

@@ -52,10 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import (
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
+    _PAULIS,
     CanonicalKraus,
     KrausChannel,
     _canonical_stack,
@@ -112,14 +109,15 @@ class BoundReport:
     lb1_simplified keeps only the leading operator's own contribution,
     (sum_j sigma_1j)^2 / n^2. The upper bound
     sum_i (sum_j sigma_ij)^2 / n^2 never exceeds 1 for a trace-preserving
-    channel.
+    channel. ``singular_values`` is one read-only float array of shape
+    (K, n): row i holds sigma_i1 >= ... >= sigma_in of canonical operator i.
     """
 
     lb1: float
     lb1_simplified: float
     lb2: float
     ub: float
-    singular_values: tuple[np.ndarray, ...]
+    singular_values: np.ndarray
     witness_lb1: np.ndarray
     witness_lb2: np.ndarray
 
@@ -154,7 +152,7 @@ def _bound_report(s: _DuStack) -> BoundReport:
         lb1_simplified=float(s.lb1_simplified[0]),
         lb2=float(s.lb2[0]),
         ub=float(s.ub[0]),
-        singular_values=tuple(sv.copy() for sv in s.singular_values[0]),
+        singular_values=s.singular_values[0],
         witness_lb1=s.witnesses[0, 0],
         witness_lb2=s.witnesses[0, 1],
     )
@@ -182,6 +180,7 @@ def _bound_stack(ops: np.ndarray) -> _DuStack:
     """
     n = ops.shape[-1]
     svals, polars = _svd_polar(ops)
+    svals.flags.writeable = False  # BoundReport hands out views of it
     nuc = svals.sum(axis=-1)
     # per channel, operator 0 and the one of largest nuclear norm
     w = polars[np.arange(len(ops))[:, None], np.argmax(nuc, axis=1)[:, None] * [0, 1]]
@@ -197,13 +196,14 @@ def _bound_stack(ops: np.ndarray) -> _DuStack:
 
 
 def du_bounds(ck: CanonicalKraus) -> BoundReport:
-    """Lower and upper DU bounds for a canonical (orthogonal) Kraus set."""
-    return _bound_report(_bound_stack(np.stack(ck.ops)[None]))
+    """Lower and upper DU bounds for a canonical (orthogonal) Kraus set,
+    whose ``ops`` may be any (K, n, n) array or sequence of n x n operators."""
+    return _bound_report(_bound_stack(np.asarray(ck.ops, dtype=np.complex128)[None]))
 
 
 # Every qubit unitary is a phase times sum_p x_p _QUBIT_BASIS[p] with x a
 # real unit 4-vector.
-_QUBIT_BASIS = np.stack([PAULI_I, 1j * PAULI_X, 1j * PAULI_Y, 1j * PAULI_Z])
+_QUBIT_BASIS = np.array([1, 1j, 1j, 1j])[:, None, None] * _PAULIS
 
 
 def _qubit_du_stack(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +310,7 @@ def _stack_of_one(ch: KrausChannel, rng: np.random.Generator | None):
     """The prologue of :func:`du` and :func:`du_optimize`: the trace check, then
     the Kraus stack of one and its generator (seed 0 when ``rng`` is None)."""
     require_trace_preserving(ch)
-    return np.stack(ch.kraus)[None], [np.random.default_rng(0) if rng is None else rng]
+    return ch.kraus[None], [np.random.default_rng(0) if rng is None else rng]
 
 
 def du_optimize(

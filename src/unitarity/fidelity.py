@@ -46,11 +46,6 @@ class MonteCarloFidelity:
     samples: int
 
 
-def _overlaps(ch: KrausChannel, u: np.ndarray) -> np.ndarray:
-    """tr(U† E_k) for every Kraus operator."""
-    return np.array([np.vdot(u, op) for op in ch.kraus])
-
-
 def _check_pair(ch: KrausChannel, u) -> np.ndarray:
     u = as_matrix(u)
     if u.shape != (ch.dim, ch.dim):
@@ -58,22 +53,25 @@ def _check_pair(ch: KrausChannel, u) -> np.ndarray:
     return assert_unitary(u)
 
 
+def _overlap_total(ch: KrausChannel, u) -> float:
+    """sum_k |tr(U† E_k)|^2, after checking that u is a unitary of the channel's dim."""
+    overlaps = ch.kraus.reshape(ch.n_ops, -1) @ _check_pair(ch, u).conj().ravel()
+    return float(np.sum(np.abs(overlaps) ** 2))
+
+
 def process_fidelity(ch: KrausChannel, u) -> float:
     """sum_k |tr(U† E_k)|^2 / n^2, clipped into [0, 1].
 
     Independent of the Kraus representation of the channel.
     """
-    u = _check_pair(ch, u)
-    raw = float(np.sum(np.abs(_overlaps(ch, u)) ** 2)) / ch.dim**2
+    raw = _overlap_total(ch, u) / ch.dim**2
     return min(max(raw, 0.0), 1.0)
 
 
 def average_fidelity(ch: KrausChannel, u) -> float:
     """(n + sum_k |tr(U† E_k)|^2) / (n (n + 1))."""
-    u = _check_pair(ch, u)
     n = ch.dim
-    total = float(np.sum(np.abs(_overlaps(ch, u)) ** 2))
-    return (n + total) / (n * (n + 1))
+    return (n + _overlap_total(ch, u)) / (n * (n + 1))
 
 
 def average_from_process(f_pro: float, dim: int) -> float:
@@ -134,11 +132,8 @@ def average_fidelity_mc(
     n = ch.dim
     raw = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
     psi = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    per_state = np.zeros(samples)
-    for op in ch.kraus:
-        m = u.conj().T @ op
-        amp = np.einsum("si,ij,sj->s", psi.conj(), m, psi)
-        per_state += np.abs(amp) ** 2
+    amp = np.einsum("si,kij,sj->ks", psi.conj(), u.conj().T @ ch.kraus, psi)
+    per_state = (np.abs(amp) ** 2).sum(axis=0)
     value = float(per_state.mean())
     std_error = float(per_state.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return MonteCarloFidelity(value=value, std_error=std_error, samples=samples)

@@ -99,7 +99,10 @@ class Table1Report:
 def run_table1(grid: int = 51, restarts: int = 8) -> Table1Report:
     """DU vs closed form for every standard family over a grid of
     ``grid`` >= 1 points, each row's value and method those of
-    ``du(standard_channel(family, p), restarts)``."""
+    ``du(standard_channel(family, p), restarts)``. Every family is a qubit
+    channel, which takes an exact route and never ascends, so ``restarts``
+    changes no value or method; it is still validated (an integer >= 0),
+    and kept because perfbench reads its default from the signature."""
     _require_at_least("grid", grid, 1)
     grid_points = np.linspace(0.0, 1.0, grid).tolist()
     points = [(family, p) for family in CHANNEL_FAMILIES for p in grid_points]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from unitarity import (
+    CanonicalKraus,
     ChannelValidationError,
     KrausChannel,
     apply_channel,
@@ -10,6 +11,8 @@ from unitarity import (
     chi_to_kraus,
     compose,
     convex_unitary_mixture,
+    du,
+    du_bounds,
     identity_channel,
     kraus_to_chi,
     random_channel,
@@ -44,16 +47,77 @@ def random_tp_channel(rng, dim=2, env=4):
 
 class TestConstruction:
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="a channel needs at least one Kraus operator"):
             KrausChannel(2, ())
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"Kraus operator shape \(3, 3\) does not match dim 2"):
             KrausChannel(2, (np.eye(3),))
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"matrix entries must be finite \(no NaN/Inf\)"):
             KrausChannel(2, (np.full((2, 2), np.nan),))
+
+    @pytest.mark.parametrize(
+        "kraus, message",
+        [
+            ([], "a channel needs at least one Kraus operator"),
+            ((op for op in ()), "a channel needs at least one Kraus operator"),
+            (np.zeros((0, 2, 2)), "a channel needs at least one Kraus operator"),
+            ([np.eye(2), np.eye(3)], r"Kraus operator shape \(3, 3\) does not match dim 2"),
+            ([np.eye(2), np.ones((2, 3))], r"Kraus operator shape \(2, 3\) does not match dim 2"),
+            (np.eye(3)[None], r"Kraus operator shape \(3, 3\) does not match dim 2"),
+            ([np.eye(2), [1.0, 0.0]], "expected a 2-D matrix, got ndim=1"),
+            ([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]], r"entries must be finite \(no NaN/Inf\)"),
+            (np.full((1, 2, 2), np.inf), r"entries must be finite \(no NaN/Inf\)"),
+        ],
+        ids=["empty-list", "empty-generator", "empty-array", "ragged-list", "non-square",
+             "array-wrong-dim", "one-dimensional", "nan-in-list", "inf-array"],
+    )
+    def test_input_contract_messages(self, kraus, message):
+        # shapes are checked operator by operator before the set is stacked,
+        # so a ragged list never reaches numpy
+        with pytest.raises(ValueError, match=message):
+            KrausChannel(2, kraus)
+
+    @pytest.mark.parametrize("container", [tuple, list, iter, np.array])
+    def test_any_iterable_of_operators(self, container):
+        ops = [np.sqrt(0.3) * np.eye(2), np.sqrt(0.7) * PAULI_X]
+        ch = KrausChannel(2, container(ops))
+        assert ch.kraus.shape == (2, 2, 2) and ch.n_ops == 2 and len(ch.kraus) == 2
+        assert ch.kraus.dtype == np.complex128 and ch.kraus.flags.c_contiguous
+        assert not ch.kraus.flags.writeable
+        assert np.array_equal(ch.kraus, np.stack(ops))
+        assert all(np.array_equal(a, b) for a, b in zip(ch.kraus, ops))
+
+    def test_holds_a_copy_of_its_input(self):
+        # the constructor copies, so mutating the input changes nothing
+        ops = np.stack([np.eye(2, dtype=np.complex128)])
+        first = np.eye(2, dtype=np.complex128)
+        ch, ch_from_list = KrausChannel(2, ops), KrausChannel(2, (first,))
+        before = du(ch)[0].value
+        ops[0, 0, 0] = 5.0
+        first[0, 0] = 5.0
+        assert np.array_equal(ch.kraus[0], np.eye(2))
+        assert np.array_equal(ch_from_list.kraus[0], np.eye(2))
+        assert du(ch)[0].value == before == 1.0
+
+    def test_operator_sets_are_read_only(self):
+        ch = standard_channel("bit_flip", 0.3)
+        with pytest.raises(ValueError, match="read-only"):
+            ch.kraus[0][1, 1] = 3.0
+        with pytest.raises(ValueError, match="read-only"):
+            ch.kraus[:] = 0.0
+        ck = canonicalize(ch)
+        with pytest.raises(ValueError, match="read-only"):
+            ck.ops[0, 0, 0] = 3.0
+        mu = as_mixed_unitary(ck)
+        with pytest.raises(ValueError, match="read-only"):
+            mu.unitaries[0, 0, 0] = 3.0
+        rep = du_bounds(ck)
+        with pytest.raises(ValueError, match="read-only"):
+            rep.singular_values[0, 0] = 3.0
+        assert np.array_equal(ch.kraus, standard_channel("bit_flip", 0.3).kraus)
 
 
 class TestValidate:
@@ -191,6 +255,23 @@ class TestChi:
 
 
 class TestCanonicalize:
+    @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
+    def test_hand_built_tuple_ops(self, kind):
+        # du_bounds and as_mixed_unitary take a CanonicalKraus whose ops are
+        # a tuple of operators as they take canonicalize's (R, n, n) array
+        ck = canonicalize(standard_channel(kind, 0.3))
+        by_hand = CanonicalKraus(dim=2, ops=tuple(op.copy() for op in ck.ops), weights=ck.weights)
+        want, got = du_bounds(ck), du_bounds(by_hand)
+        for field in ("lb1", "lb1_simplified", "lb2", "ub"):
+            assert getattr(got, field) == getattr(want, field)
+        assert np.array_equal(got.singular_values, want.singular_values)
+        assert np.array_equal(got.witness_lb1, want.witness_lb1)
+        mu_want, mu_got = as_mixed_unitary(ck), as_mixed_unitary(by_hand)
+        assert (mu_got is None) == (mu_want is None) == (kind == "amplitude_damping")
+        if mu_want is not None:
+            assert np.array_equal(mu_got.unitaries, mu_want.unitaries)
+            assert np.array_equal(mu_got.coefficients, mu_want.coefficients)
+
     def test_depolarizing_weights(self):
         ck = canonicalize(standard_channel("depolarizing", 0.2))
         want = sorted([2 * (1 - 0.15), 0.1, 0.1, 0.1], reverse=True)
@@ -455,3 +536,13 @@ class TestConveniences:
     def test_convex_mixture_validates_probs(self):
         with pytest.raises(ValueError):
             convex_unitary_mixture([np.eye(2)], [0.5])
+
+    @pytest.mark.parametrize(
+        "probs", [[float("nan"), 1.0], [float("inf"), 1.0], [1.0, float("-inf")]],
+        ids=["nan", "inf", "minus-inf"],
+    )
+    def test_convex_mixture_rejects_non_finite_probs(self, probs):
+        # a non-finite probability fails the probability check, not the Kraus
+        # operators' finiteness check that sqrt(p) U would reach
+        with pytest.raises(ValueError, match="probabilities must be nonnegative and sum to 1"):
+            convex_unitary_mixture([np.eye(2), PAULI_X], probs)

@@ -55,6 +55,17 @@ class TestValidateCommand:
         path.write_text(json.dumps({"dim": 2}))
         assert main(["validate", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["validate", "du"])
+    def test_operator_of_the_wrong_shape_exit_2(self, tmp_path, capsys, command):
+        # a dim-2 channel whose second operator is 3x3: checked before stacking
+        obj = channel_to_obj(standard_channel("bit_flip", 0.3))
+        obj["kraus"][1] = channel_to_obj(random_channel(3, 1, np.random.default_rng(0)))["kraus"][0]
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(obj))
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: channel: Kraus operator shape (3, 3) does not match dim 2")
+
 
 class TestDuCommand:
     def test_prints_value_and_bounds(self, ad_file, capsys):
