@@ -58,21 +58,15 @@ class KrausChannel:
 
     def __post_init__(self):
         _require_at_least("dim", self.dim, 1)
-        ops = self.kraus
-        if not isinstance(ops, np.ndarray):
-            ops = [np.asarray(op) for op in ops]
-        if len(ops) == 0:
+        ops = [as_matrix(op) for op in self.kraus]
+        if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         for op in ops:
-            if op.ndim != 2:
-                raise ValueError(f"expected a 2-D matrix, got ndim={op.ndim}")
             if op.shape != (self.dim, self.dim):
                 raise ValueError(
                     f"Kraus operator shape {op.shape} does not match dim {self.dim}"
                 )
-        kraus = np.array(ops, dtype=np.complex128)
-        if not np.isfinite(kraus).all():
-            raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        kraus = np.array(ops)
         kraus.flags.writeable = False
         object.__setattr__(self, "kraus", kraus)
 
@@ -155,8 +149,8 @@ def convex_unitary_mixture(unitaries, probs) -> KrausChannel:
         raise ValueError("need one probability per unitary")
     if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
         raise ValueError("probabilities must be nonnegative and sum to 1")
-    us = KrausChannel(len(as_matrix(unitaries[0])), unitaries)
-    return KrausChannel(us.dim, np.sqrt(probs)[:, None, None] * us.kraus)
+    ops = tuple(np.sqrt(p) * as_matrix(u) for p, u in zip(probs, unitaries))
+    return KrausChannel(ops[0].shape[0], ops)
 
 
 def validate(ch: KrausChannel, tol: float = TRACE_PRESERVATION_TOL) -> ValidationReport:
@@ -328,19 +322,25 @@ def standard_channel(kind: str, param: float) -> KrausChannel:
     if not 0.0 <= param <= 1.0:
         raise ValueError(f"parameter must be in [0, 1], got {param}")
     if kind == "depolarizing":
-        weights = [1.0 - 0.75 * param] + [0.25 * param] * 3
+        weighted = [
+            (1.0 - 0.75 * param, PAULI_I),
+            (0.25 * param, PAULI_X),
+            (0.25 * param, PAULI_Y),
+            (0.25 * param, PAULI_Z),
+        ]
     elif kind == "bit_flip":
-        weights = [param, 1.0 - param, 0.0, 0.0]
+        weighted = [(param, PAULI_I), (1.0 - param, PAULI_X)]
     elif kind == "phase_flip":
-        weights = [param, 0.0, 0.0, 1.0 - param]
+        weighted = [(param, PAULI_I), (1.0 - param, PAULI_Z)]
     elif kind == "amplitude_damping":
-        ops = np.array([[[1.0, 0.0], [0.0, np.sqrt(1.0 - param)]],
-                        [[0.0, np.sqrt(param)], [0.0, 0.0]]])
-        return KrausChannel(2, ops[:1] if param == 0.0 else ops)
+        e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - param)]], dtype=np.complex128)
+        e1 = np.array([[0.0, np.sqrt(param)], [0.0, 0.0]], dtype=np.complex128)
+        ops = (e0,) if param == 0.0 else (e0, e1)
+        return KrausChannel(2, ops)
     else:
         raise ValueError(f"unknown channel kind {kind!r}; expected one of {STANDARD_KINDS}")
-    scales = np.sqrt(weights)
-    return KrausChannel(2, (scales[:, None, None] * _PAULIS)[scales != 0.0])
+    ops = tuple(np.sqrt(w) * op for w, op in weighted if w != 0.0)
+    return KrausChannel(2, ops)
 
 
 def _dilation_kraus_stack(sys_dim: int, env_dim: int, rngs) -> np.ndarray:

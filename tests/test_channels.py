@@ -80,7 +80,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             KrausChannel(2, kraus)
 
-    @pytest.mark.parametrize("container", [tuple, list, iter, np.array])
+    @pytest.mark.parametrize(
+        "container",
+        [
+            tuple,
+            list,
+            iter,
+            np.array,
+            # non-C-ordered arrays; the operators are symmetric, so the
+            # transposed view holds the same set
+            lambda ops: np.asfortranarray(np.stack(ops)),
+            lambda ops: np.stack(ops).transpose(0, 2, 1),
+        ],
+        ids=["tuple", "list", "iter", "array", "fortran", "transposed_view"],
+    )
     def test_any_iterable_of_operators(self, container):
         ops = [np.sqrt(0.3) * np.eye(2), np.sqrt(0.7) * PAULI_X]
         ch = KrausChannel(2, container(ops))
