@@ -77,7 +77,10 @@ class KrausChannel:
 
 @dataclass(frozen=True, eq=False)
 class ChiMatrix:
-    """Process matrix chi in the |m><n| operator basis (j = m*dim + n)."""
+    """Process matrix chi in the |m><n| operator basis (j = m*dim + n).
+
+    ``mat`` is a read-only complex128 copy of the input, (dim^2, dim^2).
+    """
 
     dim: int
     mat: np.ndarray
@@ -87,6 +90,8 @@ class ChiMatrix:
         d2 = self.dim * self.dim
         if m.shape != (d2, d2):
             raise ValueError(f"chi must be {d2}x{d2} for dim {self.dim}, got {m.shape}")
+        m = m.copy()
+        m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
 
@@ -96,7 +101,8 @@ class CanonicalKraus:
 
     ``ops`` are sorted by descending weight; operators with weight at or
     below the rank cutoff are dropped. From :func:`canonicalize`, ``ops``
-    is one C-ordered, read-only complex128 array of shape (R, dim, dim).
+    is one C-ordered, read-only complex128 array of shape (R, dim, dim) and
+    ``weights`` a read-only float array of shape (R,).
     """
 
     dim: int
@@ -114,7 +120,7 @@ class MixedUnitaryForm:
     carries the fixed phase convention that its first nonzero entry (in
     row-major scan) is real positive. ``unitaries`` is one C-ordered,
     read-only complex128 array of shape (K, dim, dim), ``coefficients``
-    the alpha_k, shape (K,).
+    the alpha_k, read-only, shape (K,).
     """
 
     dim: int
@@ -269,6 +275,7 @@ def canonicalize(ch: KrausChannel) -> CanonicalKraus:
     """
     weights, ops = _canonical_stack(ch.kraus[None])
     ops.flags.writeable = False
+    weights.flags.writeable = False
     return CanonicalKraus(dim=ch.dim, ops=ops[0], weights=weights[0])
 
 
@@ -304,8 +311,9 @@ def as_mixed_unitary(ck: CanonicalKraus) -> MixedUnitaryForm | None:
     first = flat[np.arange(len(u)), np.argmax(np.abs(flat) > 1e-12, axis=1)]  # row-major
     phase = np.where(np.abs(first) > 1e-12, first / np.abs(first), 1.0)
     unitaries = u / phase[:, None, None]
-    unitaries.flags.writeable = False
-    return MixedUnitaryForm(dim=ck.dim, unitaries=unitaries, coefficients=a * phase)
+    coefficients = a * phase
+    unitaries.flags.writeable = coefficients.flags.writeable = False
+    return MixedUnitaryForm(dim=ck.dim, unitaries=unitaries, coefficients=coefficients)
 
 
 def standard_channel(kind: str, param: float) -> KrausChannel:

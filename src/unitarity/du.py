@@ -27,12 +27,15 @@ the whole stack:
    non-decreasing. The ascent runs from Haar-random restarts plus the two
    bound witnesses as warm starts, which also guarantees the result never
    falls below the lower bounds. Most starts of a channel climb into the
-   same basin, so after each sweep a start whose unitary matches a better
-   start's up to a global phase retires, one polar factor per basin rather
-   than per start (the multistart rule MLSL, Rinnooy Kan & Timmer 1987).
-   The better start is one that has not retired this way, and the winner is
-   chosen among those too, so it is never a retired start and its sweep
-   count and convergence flag are its own.
+   same basin, so after each sweep a start that has come within about 14%
+   of a better start, up to a global phase and in Frobenius norm relative
+   to ||U||_F = sqrt(n), retires: it is taken to be in that start's basin
+   and need not climb to its fixed point (the multistart rule MLSL, Rinnooy
+   Kan & Timmer 1987). The better start is one that has not retired this way,
+   and the winner is chosen among those too, so it is never a retired start
+   and its sweep count and convergence flag are its own. A retired start
+   was behind a start whose objective only rises, so the value never falls
+   below the objective any start had when it retired.
 
 The stages fill one record, :class:`_DuStack`: stage 2 its bound fields,
 then :func:`_du_stack` each channel's route, decided once, and its DU
@@ -68,9 +71,11 @@ OPTIMIZER_METHOD = "numerical_optimizer"
 # A start converges when its objective f improves by less than
 # CONVERGENCE_TOL * max(1, f) in a sweep.
 CONVERGENCE_TOL = 1e-12
-# A start retires once its unitary matches a better start of its channel up
-# to a global phase: |<U_a, U_b>| > n (1 - DUPLICATE_TOL).
-DUPLICATE_TOL = 1e-6
+# A start retires once it is in a better start's basin: its unitary is
+# within sqrt(2 DUPLICATE_TOL) ||U||_F (about 14%) of that start's, up to a
+# global phase, min_phi ||U_a - e^{i phi} U_b||_F < sqrt(2 DUPLICATE_TOL n),
+# which is |<U_a, U_b>| > n (1 - DUPLICATE_TOL).
+DUPLICATE_TOL = 1e-2
 MAX_ITERATIONS = 10_000
 DEFAULT_RESTARTS = 32
 
@@ -87,7 +92,7 @@ class DuResult:
     routes), and ``objective_trace``, when requested, that start's objective
     before and after each sweep. ``sweeps_total`` is the sweeps of all starts
     together, one polar factor each: the ascent's real cost (0 on the exact
-    routes).
+    routes). ``witness`` is a read-only (n, n) complex128 array.
     """
 
     value: float
@@ -111,6 +116,7 @@ class BoundReport:
     sum_i (sum_j sigma_ij)^2 / n^2 never exceeds 1 for a trace-preserving
     channel. ``singular_values`` is one read-only float array of shape
     (K, n): row i holds sigma_i1 >= ... >= sigma_in of canonical operator i.
+    The two witnesses are read-only (n, n) complex128 arrays.
     """
 
     lb1: float
@@ -160,10 +166,12 @@ def _bound_report(s: _DuStack) -> BoundReport:
 
 def _du_result(s: _DuStack, objective_trace: tuple[float, ...] | None = None) -> DuResult:
     """The DU result of the only channel of a record of one."""
+    witness = s.witness[0]
+    witness.flags.writeable = False
     return DuResult(
         value=float(s.du[0]),
         method=_ROUTES[s.route[0]],
-        witness=s.witness[0],
+        witness=witness,
         iterations=int(s.iterations[0]),
         converged=bool(s.converged[0]),
         objective_trace=objective_trace,
@@ -180,10 +188,10 @@ def _bound_stack(ops: np.ndarray) -> _DuStack:
     """
     n = ops.shape[-1]
     svals, polars = _svd_polar(ops)
-    svals.flags.writeable = False  # BoundReport hands out views of it
     nuc = svals.sum(axis=-1)
     # per channel, operator 0 and the one of largest nuclear norm
     w = polars[np.arange(len(ops))[:, None], np.argmax(nuc, axis=1)[:, None] * [0, 1]]
+    svals.flags.writeable = w.flags.writeable = False  # BoundReport hands out views
     lb = (np.abs(np.einsum("bkij,bwij->bwk", ops.conj(), w)) ** 2).sum(axis=-1) / n**2
     return _DuStack(
         singular_values=svals,
@@ -235,13 +243,17 @@ def _ascend(
     only the starts still ascending are polar-decomposed. A start retires
     once its objective f improves by less than CONVERGENCE_TOL * max(1, f)
     in a sweep, after MAX_ITERATIONS sweeps, or once it has joined a better
-    start: after each sweep, a start whose unitary matches, up to a global
+    start: after each sweep, a start whose unitary is near, up to a global
     phase, one of its channel's starts that has not joined another
-    (|<U_a, U_b>| > n (1 - DUPLICATE_TOL)) and is ahead of it (f_b > f_a,
-    or f_b == f_a and b < a) retires as joined. The winner is the best start
-    that never joined, so its sweep count, convergence flag and trace are
-    its own ascent's; the start ahead of all others that have not joined
-    never joins, so every channel keeps one.
+    (|<U_a, U_b>| > n (1 - DUPLICATE_TOL), a Frobenius distance below
+    sqrt(2 DUPLICATE_TOL) ||U||_F) and is ahead of it (f_b > f_a, or
+    f_b == f_a and b < a) retires as joined, in that start's basin but not
+    yet at its fixed point. The winner is the best start that never joined,
+    so its sweep count, convergence flag and trace are its own ascent's; the
+    start ahead of all others that have not joined never joins, so every
+    channel keeps one. Each joined start was behind one that had not joined,
+    whose f only rises, so the winner's f is at least every joined start's
+    f when it joined.
 
     Returns, for each channel's winner, its DU, its unitary, its own sweep
     count, whether it converged, and with ``want_trace`` its raw objectives
@@ -350,7 +362,8 @@ def du_optimize(
 
 def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
     """DU with its bounds for a (B, K, n, n) stack of trace-preserving
-    Kraus sets, one generator per channel.
+    Kraus sets, one generator per channel (None for qubits, which never
+    draw).
 
     Every stage runs on the whole stack: canonical form, bounds, the exact
     mixed-unitary test, the exact qubit kernel for the other qubit

@@ -150,12 +150,14 @@ def _du_channels(channels, restarts: int) -> tuple[np.ndarray, np.ndarray]:
 def _du_group(kraus: np.ndarray, restarts: int) -> tuple[np.ndarray, np.ndarray]:
     """DU and route of each channel of a (B, K, n, n) stack of trace-preserving
     Kraus sets, each with the generator ``default_rng(0)`` that ``du`` builds.
+    A qubit stack takes the exact routes, which draw nothing, so it gets none.
 
     The DU core pads a channel's canonical set with zero operators up to the
     largest rank in its stack. That leaves its DU unchanged but not its
     rounding, so the channels of lower rank run again as a stack of their own.
     """
-    s = _du_stack(kraus, _generators(np.zeros(len(kraus), np.uint64)), restarts)
+    rngs = _generators(np.zeros(len(kraus), np.uint64)) if kraus.shape[-1] > 2 else None
+    s = _du_stack(kraus, rngs, restarts)
     values, routes = s.du, s.route
     rank = np.count_nonzero(s.singular_values[:, :, 0], axis=1)
     lower = np.flatnonzero(rank < rank.max())

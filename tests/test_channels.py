@@ -4,6 +4,7 @@ import pytest
 from unitarity import (
     CanonicalKraus,
     ChannelValidationError,
+    ChiMatrix,
     KrausChannel,
     apply_channel,
     as_mixed_unitary,
@@ -13,6 +14,7 @@ from unitarity import (
     convex_unitary_mixture,
     du,
     du_bounds,
+    du_optimize,
     identity_channel,
     kraus_to_chi,
     random_channel,
@@ -131,6 +133,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match="read-only"):
             rep.singular_values[0, 0] = 3.0
         assert np.array_equal(ch.kraus, standard_channel("bit_flip", 0.3).kraus)
+
+    def test_record_arrays_are_read_only(self):
+        m = np.eye(4, dtype=np.complex128)
+        x = ChiMatrix(2, m)
+        m[0, 0] = 5.0
+        assert x.mat[0, 0] == 1.0
+        res, rep = du(standard_channel("bit_flip", 0.3))
+        ck = canonicalize(standard_channel("bit_flip", 0.3))
+        opt = du_optimize(random_channel(3, 2, np.random.default_rng(0)), restarts=1)
+        fields = [
+            x.mat, kraus_to_chi(identity_channel(2)).mat, ck.weights,
+            as_mixed_unitary(ck).coefficients, res.witness, opt.witness,
+            rep.witness_lb1, rep.witness_lb2,
+        ]
+        for a in fields:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 7.0
 
 
 class TestValidate:

@@ -237,6 +237,62 @@ class TestOptimizer:
         assert res.sweeps_total == res.iterations + 1
         assert res.value >= bounds.lb1 - 1e-12
 
+    @staticmethod
+    def _near_identity(n, dist, rng):
+        """A unitary exp(iH), H traceless Hermitian with ||H||_F = dist."""
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = h + h.conj().T
+        lam, v = np.linalg.eigh(h - np.trace(h).real / n * np.eye(n))
+        lam *= dist / np.linalg.norm(lam)
+        return (v * np.exp(1j * lam)) @ v.conj().T
+
+    @pytest.mark.parametrize("start, after_one_sweep, retires", [
+        (0.05, (2e-3, 0.1), True),
+        (0.6, (0.2, 1.0), False),
+    ], ids=["inside", "outside"])
+    def test_start_retires_once_within_the_join_radius(self, start, after_one_sweep, retires,
+                                                       monkeypatch):
+        # polar(E_0) = I maximizes a V-type channel, so the warm start I is
+        # ahead of every other start. A second warm start, at Frobenius
+        # distance start * ||U||_F from I up to a phase, retires after one
+        # sweep exactly when that sweep leaves it within the join radius
+        # sqrt(2 DUPLICATE_TOL) ||U||_F (0.14; 0.0014 at DUPLICATE_TOL = 1e-6).
+        n = 3
+        _, ops = _canonical_stack(v_type_amplitude_damping([0.2, 0.2]).kraus[None])
+        w = self._near_identity(n, start * np.sqrt(n), np.random.default_rng(0))
+        w1 = _svd_polar(np.einsum("k,kij->ij", np.einsum("kij,ij->k", ops[0].conj(), w),
+                                  ops[0])[None])[1][0]
+        lo, hi = after_one_sweep
+        assert lo < np.sqrt(2 - 2 * abs(np.trace(w1)) / n) < hi
+        warm = np.stack([np.eye(n, dtype=np.complex128), w])[None]
+
+        def ascend():
+            _, _, sweeps, _, _, sweeps_total = _ascend(ops, warm, [np.random.default_rng(0)],
+                                                       0, False)
+            return int(sweeps[0]), int(sweeps_total[0])
+
+        iterations, sweeps_total = ascend()
+        assert iterations == 1
+        assert (sweeps_total == iterations + 1) == retires
+        # both stay outside the radius at DUPLICATE_TOL = 1e-6, so both climb on
+        monkeypatch.setattr(DU_MODULE, "DUPLICATE_TOL", 1e-6)
+        assert ascend()[1] > 2
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_join_radius_loses_no_value(self, n, monkeypatch):
+        # a start retires in another's basin, not at its fixed point; with
+        # DUPLICATE_TOL = 0 no two distinct starts join, and every start
+        # climbs to its own fixed point
+        channels = [random_channel(n, env, np.random.default_rng([18, n, env, i]))
+                    for env in sorted({2, 3, n}) for i in range(2)]
+        joined = [du(ch)[0] for ch in channels]
+        monkeypatch.setattr(DU_MODULE, "DUPLICATE_TOL", 0.0)
+        alone = [du(ch)[0] for ch in channels]
+        for a, b in zip(joined, alone):
+            assert a.converged and b.converged
+            assert abs(a.value - b.value) <= 1e-9
+            assert a.sweeps_total <= b.sweeps_total
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_sweeps_total_counts_polar_factors(self, n, monkeypatch):
         rng = np.random.default_rng(20 + n)

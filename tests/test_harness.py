@@ -193,6 +193,14 @@ class TestTable1:
         assert report.rows == reference_table1_rows(grid)
         assert report.max_abs_error == max(r.error for r in report.rows)
 
+    def test_qubit_stacks_build_no_generators(self, monkeypatch):
+        # every Table 1 channel is a qubit on an exact route, which draws nothing
+        def refuse(seeds):
+            raise AssertionError("a qubit stack built generators")
+
+        monkeypatch.setattr("unitarity.harness._generators", refuse)
+        assert run_table1(grid=5).rows == reference_table1_rows(5)
+
     def test_specific_parameters(self):
         # depolarizing at p = 4/7 sits on the identity branch: 1 - 3/7
         res, _ = du(standard_channel("depolarizing", 4.0 / 7.0), restarts=4)
