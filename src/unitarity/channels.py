@@ -4,8 +4,8 @@ A channel acts as rho -> sum_k E_k rho E_k†, with trace preservation
 requiring sum_k E_k† E_k = I. This module provides construction and
 validation, conversion to and from the process (chi) matrix, the canonical
 orthogonal Kraus form, detection of mixed-unitary structure, the standard
-named single-qubit channels, Haar-dilation random channel sampling, and
-channel composition.
+named single-qubit channels with their closed-form DU, Haar-dilation random
+channel sampling, and channel composition.
 
 Chi-matrix convention: operator basis A_j = |m><n| with flat index
 j = m * dim + n, i.e. row-major flattening of the matrix units.
@@ -316,6 +316,33 @@ def as_mixed_unitary(ck: CanonicalKraus) -> MixedUnitaryForm | None:
     return MixedUnitaryForm(dim=ck.dim, unitaries=unitaries, coefficients=coefficients)
 
 
+def _check_standard(kind: str, param: float) -> None:
+    """Raise ValueError unless ``param`` is in [0, 1] and ``kind`` is one of
+    STANDARD_KINDS."""
+    if not 0.0 <= param <= 1.0:
+        raise ValueError(f"parameter must be in [0, 1], got {param}")
+    if kind not in STANDARD_KINDS:
+        raise ValueError(f"unknown channel kind {kind!r}; expected one of {STANDARD_KINDS}")
+
+
+def _standard_kraus(kind: str, param: float) -> np.ndarray:
+    """The Kraus set of :func:`standard_channel` as one (K, 2, 2) complex128
+    array, without the channel's validation and copy."""
+    _check_standard(kind, param)
+    if kind == "amplitude_damping":
+        e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - param)]], dtype=np.complex128)
+        e1 = np.array([[0.0, np.sqrt(param)], [0.0, 0.0]], dtype=np.complex128)
+        return np.array([e0] if param == 0.0 else [e0, e1])
+    q = 0.25 * param
+    weights = np.array({  # of I, X, Y, Z
+        "depolarizing": (1.0 - 0.75 * param, q, q, q),
+        "bit_flip": (param, 1.0 - param, 0.0, 0.0),
+        "phase_flip": (param, 0.0, 0.0, 1.0 - param),
+    }[kind])
+    keep = weights != 0.0
+    return np.sqrt(weights[keep])[:, None, None] * _PAULIS[keep]
+
+
 def standard_channel(kind: str, param: float) -> KrausChannel:
     """Standard single-qubit noise channels.
 
@@ -325,30 +352,22 @@ def standard_channel(kind: str, param: float) -> KrausChannel:
     amplitude_damping (g): [[1, 0], [0, sqrt(1-g)]], [[0, sqrt(g)], [0, 0]]
 
     Operators with an exactly zero coefficient are omitted, so e.g.
-    depolarizing at p = 0 is the single-operator identity channel.
+    depolarizing at p = 0 is the single-operator identity channel. A kind
+    not in STANDARD_KINDS or a parameter outside [0, 1] is a ValueError.
     """
-    if not 0.0 <= param <= 1.0:
-        raise ValueError(f"parameter must be in [0, 1], got {param}")
+    return KrausChannel(2, _standard_kraus(kind, param))
+
+
+def closed_form_du(kind: str, param: float) -> float:
+    """Reference DU for the standard single-qubit channel families: the
+    paper's Table 1 formulas, kept literal rather than derived from the Kraus
+    sets they check. Rejects what :func:`standard_channel` rejects."""
+    _check_standard(kind, param)
     if kind == "depolarizing":
-        weighted = [
-            (1.0 - 0.75 * param, PAULI_I),
-            (0.25 * param, PAULI_X),
-            (0.25 * param, PAULI_Y),
-            (0.25 * param, PAULI_Z),
-        ]
-    elif kind == "bit_flip":
-        weighted = [(param, PAULI_I), (1.0 - param, PAULI_X)]
-    elif kind == "phase_flip":
-        weighted = [(param, PAULI_I), (1.0 - param, PAULI_Z)]
-    elif kind == "amplitude_damping":
-        e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - param)]], dtype=np.complex128)
-        e1 = np.array([[0.0, np.sqrt(param)], [0.0, 0.0]], dtype=np.complex128)
-        ops = (e0,) if param == 0.0 else (e0, e1)
-        return KrausChannel(2, ops)
-    else:
-        raise ValueError(f"unknown channel kind {kind!r}; expected one of {STANDARD_KINDS}")
-    ops = tuple(np.sqrt(w) * op for w, op in weighted if w != 0.0)
-    return KrausChannel(2, ops)
+        return max(0.25 * param, 1.0 - 0.75 * param)
+    if kind == "amplitude_damping":
+        return (1.0 + math.sqrt(1.0 - param)) ** 2 / 4.0
+    return max(param, 1.0 - param)  # bit_flip, phase_flip
 
 
 def _dilation_kraus_stack(sys_dim: int, env_dim: int, rngs) -> np.ndarray:

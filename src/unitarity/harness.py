@@ -6,9 +6,9 @@ The drivers sample channels and aggregate results; every DU and bound comes
 from the one pipeline in :mod:`unitarity.du`, which every driver feeds a
 stack at a time through ``_du_stack``, never one ``du()`` call per channel.
 
-The closed-form table and the witness take given channels. They check
-every channel for trace preservation, then run one stack per Kraus-stack
-shape (dim, n_ops), in which each channel has the generator
+The closed-form table and the witness take given Kraus sets, as arrays.
+They check every set for trace preservation, then run one stack per array
+shape (n_ops, dim, dim), in which each channel has the generator
 ``np.random.default_rng(0)`` that ``du(ch)`` builds when given none, so
 each value and ``method`` label is ``du(ch, restarts)``'s bit for bit.
 
@@ -46,8 +46,9 @@ from .channels import (
     KrausChannel,
     _check_trace_residuals,
     _dilation_kraus_stack,
+    _standard_kraus,
     _trace_residuals,
-    standard_channel,
+    closed_form_du,
 )
 from .du import _ROUTES, _du_stack, _DuStack
 from .linalg import _require_at_least
@@ -62,19 +63,6 @@ CHUNK = 512
 # stratified tightness study's DU bins, and the restarts of each witness DU.
 BIN_WIDTH = 0.05
 WITNESS_RESTARTS = 8
-
-
-def closed_form_du(kind: str, param: float) -> float:
-    """Reference DU for the standard single-qubit channel families."""
-    if not 0.0 <= param <= 1.0:
-        raise ValueError(f"parameter must be in [0, 1], got {param}")
-    if kind == "depolarizing":
-        return max(0.25 * param, 1.0 - 0.75 * param)
-    if kind in ("bit_flip", "phase_flip"):
-        return max(param, 1.0 - param)
-    if kind == "amplitude_damping":
-        return (1.0 + math.sqrt(1.0 - param)) ** 2 / 4.0
-    raise ValueError(f"unknown channel kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +94,7 @@ def run_table1(grid: int = 51, restarts: int = 8) -> Table1Report:
     _require_at_least("grid", grid, 1)
     grid_points = np.linspace(0.0, 1.0, grid).tolist()
     points = [(family, p) for family in CHANNEL_FAMILIES for p in grid_points]
-    values, routes = _du_channels([standard_channel(*point) for point in points], restarts)
+    values, routes = _du_channels([_standard_kraus(*point) for point in points], restarts)
     rows = []
     for (family, p), value, route in zip(points, values.tolist(), routes.tolist()):
         ref = closed_form_du(family, p)
@@ -123,25 +111,26 @@ def run_table1(grid: int = 51, restarts: int = 8) -> Table1Report:
     return Table1Report(rows=tuple(rows), max_abs_error=max(r.error for r in rows))
 
 
-def _du_channels(channels, restarts: int) -> tuple[np.ndarray, np.ndarray]:
-    """DU and route (an index into the ``method`` labels) of each channel,
-    bit for bit as ``du(ch, restarts=restarts)`` gives them.
+def _du_channels(kraus_sets: list, restarts: int) -> tuple[np.ndarray, np.ndarray]:
+    """DU and route (an index into the ``method`` labels) of the channel of
+    each (K, n, n) Kraus array, bit for bit as ``du(KrausChannel(n, kraus),
+    restarts=restarts)`` gives them.
 
-    The channels are grouped by Kraus-stack shape (dim, n_ops), and each
-    group runs through the DU core as one stack (see :func:`_du_group`).
-    Every channel is checked for trace preservation first; the first that
-    fails, in input order, raises ChannelValidationError.
+    The arrays are grouped by shape, and each group runs through the DU core
+    as one stack (see :func:`_du_group`). Every set is checked for trace
+    preservation first; the first that fails, in input order, raises
+    ChannelValidationError.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, ch in enumerate(channels):
-        groups.setdefault((ch.dim, ch.n_ops), []).append(i)
-    stacks = [(idx, np.array([channels[i].kraus for i in idx])) for idx in groups.values()]
-    residuals = np.empty(len(channels))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, kraus in enumerate(kraus_sets):
+        groups.setdefault(kraus.shape, []).append(i)
+    stacks = [(idx, np.array([kraus_sets[i] for i in idx])) for idx in groups.values()]
+    residuals = np.empty(len(kraus_sets))
     for idx, kraus in stacks:
         residuals[idx] = _trace_residuals(kraus)
     _check_trace_residuals(residuals)
-    values = np.empty(len(channels))
-    routes = np.empty(len(channels), dtype=int)
+    values = np.empty(len(kraus_sets))
+    routes = np.empty(len(kraus_sets), dtype=int)
     for idx, kraus in stacks:
         values[idx], routes[idx] = _du_group(kraus, restarts)
     return values, routes
@@ -587,7 +576,7 @@ def run_witness(traj: Trajectory, threshold: float = 1e-6) -> WitnessReport:
     which must be a finite number of at least 0."""
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
-    values = _du_channels(traj.channels, WITNESS_RESTARTS)[0]
+    values = _du_channels([ch.kraus for ch in traj.channels], WITNESS_RESTARTS)[0]
     increases = []
     for i in range(len(values) - 1):
         delta = values[i + 1] - values[i]

@@ -8,7 +8,7 @@ or a named channel
 
     {"standard": "<kind>", "param": x}
 
-with kind one of depolarizing, bit_flip, phase_flip, amplitude_damping.
+with kind one of :data:`unitarity.channels.STANDARD_KINDS`.
 Complex numbers always serialize as two-element [re, im] arrays.
 
 Trajectory JSON is {"dim": n, "times": [...], "channels": [channel, ...]}
@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import STANDARD_KINDS, KrausChannel, standard_channel
+from .channels import KrausChannel, standard_channel
 from .harness import Trajectory, sorted_by_du, sorted_by_ub
 
 
@@ -73,16 +73,11 @@ def channel_from_obj(obj) -> KrausChannel:
     if not isinstance(obj, dict):
         raise FormatError(f"channel: expected a JSON object, got {type(obj).__name__}")
     if "standard" in obj:
-        kind = obj["standard"]
-        if kind not in STANDARD_KINDS:
-            raise FormatError(
-                f"channel: unknown standard kind {kind!r}; expected one of {STANDARD_KINDS}"
-            )
         param = obj.get("param")
         if not _is_number(param):
             raise FormatError(f"channel: standard form needs a numeric 'param', got {param!r}")
         try:
-            return standard_channel(kind, float(param))
+            return standard_channel(obj["standard"], float(param))
         except ValueError as exc:
             raise FormatError(f"channel: {exc}") from None
     if "dim" not in obj or "kraus" not in obj:

@@ -101,6 +101,23 @@ class TestDuCommand:
         # two warm starts and two restarts, one sweep each
         assert payload["sweeps_total"] == 4
 
+    @pytest.mark.parametrize(
+        "obj, named",
+        [
+            ({"standard": "leaky_bucket", "param": 0.1}, "unknown channel kind 'leaky_bucket'"),
+            ({"standard": "bit_flip", "param": 1.5}, "parameter must be in [0, 1], got 1.5"),
+        ],
+        ids=["unknown-kind", "param-out-of-range"],
+    )
+    def test_bad_standard_channel_exit_2(self, tmp_path, capsys, obj, named):
+        # standard_channel's ValueError is the format error: one line, exit 2
+        path = tmp_path / "standard.json"
+        path.write_text(json.dumps(obj))
+        assert main(["du", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: channel: {named}")
+        assert err.count("\n") == 1
+
 
 class TestBoundsCommand:
     def test_prints_bounds(self, ad_file, capsys):

@@ -25,8 +25,10 @@ from unitarity import (
     run_witness,
     standard_channel,
 )
+from unitarity.channels import STANDARD_KINDS
 from unitarity.du import _ROUTES, _du_stack
 from unitarity.harness import (
+    CHANNEL_FAMILIES,
     _attempt_seeds,
     _evaluate_dilation_batch,
     _generators,
@@ -172,12 +174,34 @@ class TestClosedForm:
         assert closed_form_du("amplitude_damping", 0.0) == pytest.approx(1.0)
         assert closed_form_du("amplitude_damping", 1.0) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize(
+        "kind, param, named",
+        [
+            ("leaky_bucket", 0.5, "unknown channel kind 'leaky_bucket'"),
+            ("bit_flip", 1.5, "parameter must be in [0, 1], got 1.5"),
+            ("amplitude_damping", -0.25, "parameter must be in [0, 1], got -0.25"),
+            ("depolarizing", math.nan, "parameter must be in [0, 1], got nan"),
+        ],
+    )
+    def test_rejects_what_standard_channel_rejects(self, kind, param, named):
+        # one (kind, param) check serves the closed forms and the Kraus sets
+        with pytest.raises(ValueError, match=re.escape(named)) as raised:
+            standard_channel(kind, param)
+        with pytest.raises(ValueError) as closed:
+            closed_form_du(kind, param)
+        assert str(closed.value) == str(raised.value)
+
 
 class TestTable1:
     def test_small_grid_matches(self):
         report = run_table1(grid=11, restarts=4)
         assert report.max_abs_error < 1e-9
         assert len(report.rows) == 44
+
+    def test_kinds_set_the_table1_row_order(self):
+        assert STANDARD_KINDS == ("depolarizing", "bit_flip", "phase_flip", "amplitude_damping")
+        assert CHANNEL_FAMILIES is STANDARD_KINDS
+        assert [row.family for row in run_table1(grid=1).rows] == list(STANDARD_KINDS)
 
     def test_methods_per_family(self):
         report = run_table1(grid=5, restarts=4)
@@ -188,9 +212,16 @@ class TestTable1:
                 assert row.method == "exact_mixed_unitary"
 
     @pytest.mark.parametrize("grid", [1, 2, 51])
-    def test_rows_match_per_point_du(self, grid):
+    def test_rows_match_per_point_du(self, grid, monkeypatch):
+        # run_table1 hands the DU core Kraus arrays and builds no KrausChannel
+        reference = reference_table1_rows(grid)
+
+        def refuse(self):
+            raise AssertionError("run_table1 built a KrausChannel")
+
+        monkeypatch.setattr(KrausChannel, "__post_init__", refuse)
         report = run_table1(grid=grid)
-        assert report.rows == reference_table1_rows(grid)
+        assert report.rows == reference
         assert report.max_abs_error == max(r.error for r in report.rows)
 
     def test_qubit_stacks_build_no_generators(self, monkeypatch):
