@@ -14,6 +14,7 @@ j = m * dim + n, i.e. row-major flattening of the matrix units.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,8 +318,11 @@ def as_mixed_unitary(ck: CanonicalKraus) -> MixedUnitaryForm | None:
 
 
 def _check_standard(kind: str, param: float) -> None:
-    """Raise ValueError unless ``param`` is in [0, 1] and ``kind`` is one of
-    STANDARD_KINDS."""
+    """Raise ValueError unless ``param`` is a real number in [0, 1] and
+    ``kind`` is one of STANDARD_KINDS."""
+    # float and int first: they answer without the slower ABC check
+    if not isinstance(param, (float, int, numbers.Real)):
+        raise ValueError(f"parameter must be a real number, got {param!r}")
     if not 0.0 <= param <= 1.0:
         raise ValueError(f"parameter must be in [0, 1], got {param}")
     if kind not in STANDARD_KINDS:
@@ -373,11 +377,12 @@ def closed_form_du(kind: str, param: float) -> float:
 def _dilation_kraus_stack(sys_dim: int, env_dim: int, rngs) -> np.ndarray:
     """Kraus stack of one Haar-dilation channel per generator.
 
-    Each generator draws one Haar unitary U of dimension sys_dim * env_dim
-    (all of them factored by one batched QR), and
-    E_k = (I (x) <k|) U (I (x) |0>) for k < env_dim. Returns shape
-    (len(rngs), env_dim, sys_dim, sys_dim). Only the columns b * env_dim of
-    U, the system columns with the environment in |0>, are formed.
+    Each generator draws the Ginibre matrix of one Haar unitary U of
+    dimension sys_dim * env_dim, and E_k = (I (x) <k|) U (I (x) |0>) for
+    k < env_dim. Returns shape (len(rngs), env_dim, sys_dim, sys_dim). Only
+    the columns b * env_dim of U, the system columns with the environment in
+    |0>, are formed: one batched QR factors the leading
+    (sys_dim - 1) * env_dim + 1 columns of every draw and none of the rest.
     """
     _require_at_least("sys_dim", sys_dim, 2)
     _require_at_least("env_dim", env_dim, 1)

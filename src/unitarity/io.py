@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from .channels import KrausChannel, standard_channel
-from .harness import Trajectory, sorted_by_du, sorted_by_ub
+from .harness import CHUNK, Trajectory, sorted_by_du, sorted_by_ub
 
 
 class FormatError(ValueError):
@@ -149,20 +150,25 @@ def load_trajectory(path: str) -> Trajectory:
 
 
 TIGHTNESS_HEADER = "du,lb1,lb2,lb1_err,lb2_err,ub,seed"
+_TIGHTNESS_ROW = "%.17g," * 6 + "%d\n"
 
 
 def write_tightness_csv(records: Iterable, path: str, order: str = "du") -> None:
-    """Emit tightness records, sorted by 'du' or by 'ub'."""
+    """Emit tightness records, sorted by 'du' or by 'ub'.
+
+    Rows are formatted ``CHUNK`` at a time, with one ``%`` operation a block.
+    """
     if order not in ("du", "ub"):
         raise ValueError(f"order must be 'du' or 'ub', got {order!r}")
     records = sorted_by_du(records) if order == "du" else sorted_by_ub(records)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(TIGHTNESS_HEADER + "\n")
-        for r in records:
-            fh.write(
-                f"{r.du_value:.17g},{r.lb1:.17g},{r.lb2:.17g},"
-                f"{r.lb1_err:.17g},{r.lb2_err:.17g},{r.ub:.17g},{r.seed}\n"
-            )
+        for start in range(0, len(records), CHUNK):
+            block = records[start:start + CHUNK]
+            fh.write(_TIGHTNESS_ROW * len(block) % tuple(chain.from_iterable(
+                (r.du_value, r.lb1, r.lb2, r.lb1_err, r.lb2_err, r.ub, r.seed)
+                for r in block
+            )))
 
 
 DISTRIBUTION_HEADER = "bin_lo,bin_hi,count"

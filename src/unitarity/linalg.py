@@ -11,7 +11,8 @@ serialize deterministically.
 Haar sampling has one path: :func:`ginibre_stack` draws the Gaussian
 entries, one ``standard_normal`` call per generator, and
 :func:`haar_from_ginibre` turns the whole stack into Haar unitaries with one
-batched QR. :func:`haar_unitary` is a stack of one, so a generator yields
+batched QR of only the leading columns the caller keeps (all of them for a
+full unitary). :func:`haar_unitary` is a stack of one, so a generator yields
 the same unitaries whether they are drawn one at a time or as a stack.
 """
 
@@ -132,24 +133,29 @@ def haar_from_ginibre(g: np.ndarray, columns=slice(None)) -> np.ndarray:
     R-diagonal phases are pushed into Q (Q * diag(r_jj/|r_jj|)); the raw QR
     convention alone is not Haar (Mezzadri, Notices AMS 54, 2007). Only the
     ``columns`` (a slice or an index array) of each unitary are phased and
-    returned, in shape ``(..., m, len(columns))``. Every matrix comes out bit
-    for bit as if it had been factored alone.
+    returned, in shape ``(..., m, len(columns))``. Householder QR makes
+    column j of Q and r_jj depend on columns 0..j of z alone, so only the
+    leading columns up to the last one kept are factored (one reduced QR of
+    an ``(..., m, lead)`` stack), and every kept column comes out bit for bit
+    as in the full factorization of its matrix alone.
     """
     # Each stack is as large as the chunk it serves, so every intermediate
     # is dropped as soon as it is used; the sampler's peak memory is that of
     # the QR.
-    z = np.empty(g.shape[:-3] + g.shape[-2:], dtype=np.complex128)
-    z.real = g[..., 0, :, :]
-    z.imag = g[..., 1, :, :]
+    keep = np.arange(g.shape[-1])[columns]
+    lead = int(keep.max(initial=-1)) + 1
+    z = np.empty(g.shape[:-3] + (g.shape[-2], lead), dtype=np.complex128)
+    z.real = g[..., 0, :, :lead]
+    z.imag = g[..., 1, :, :lead]
     del g
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     del z
-    d = np.diagonal(r, axis1=-2, axis2=-1)[..., columns]
+    d = r[..., keep, keep]
     mag = np.abs(d)
     ph = np.where(mag > 0.0, d / np.where(mag > 0.0, mag, 1.0), 1.0)
     del r, d, mag
-    return q[..., columns] * ph[..., None, :]
+    return q[..., keep] * ph[..., None, :]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -517,6 +517,20 @@ class TestDilationStack:
             ref = reference_dilation_kraus(n, d, np.random.default_rng(s))
             assert np.array_equal(ops, ref)
 
+    @pytest.mark.parametrize("n, d", [(2, 4), (3, 3)])
+    def test_factors_only_the_leading_columns(self, monkeypatch, n, d):
+        # the channel keeps columns 0, d, ..., (n - 1) d of U, so the QR
+        # sees the leading (n - 1) d + 1 of its n d columns
+        qr, shapes = np.linalg.qr, []
+
+        def recording_qr(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        _dilation_kraus_stack(n, d, [np.random.default_rng(s) for s in range(5)])
+        assert shapes == [(5, n * d, (n - 1) * d + 1)]
+
     def test_generators_advance_like_per_seed_draws(self):
         rngs = [np.random.default_rng(s) for s in (1, 2)]
         _dilation_kraus_stack(3, 2, rngs)

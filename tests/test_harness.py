@@ -191,6 +191,20 @@ class TestClosedForm:
             closed_form_du(kind, param)
         assert str(closed.value) == str(raised.value)
 
+    @pytest.mark.parametrize("family", [standard_channel, closed_form_du])
+    @pytest.mark.parametrize("param", ["0.5", None, 1 + 0j])
+    def test_rejects_a_parameter_that_is_not_a_real_number(self, family, param):
+        named = f"parameter must be a real number, got {param!r}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            family("bit_flip", param)
+
+    @pytest.mark.parametrize("param", [np.float64(0.25), np.float32(0.5), True, 0])
+    def test_accepts_any_real_number(self, param):
+        assert standard_channel("amplitude_damping", param).dim == 2
+        assert closed_form_du("amplitude_damping", param) == pytest.approx(
+            (1.0 + math.sqrt(1.0 - float(param))) ** 2 / 4.0
+        )
+
 
 class TestTable1:
     def test_small_grid_matches(self):
@@ -652,6 +666,32 @@ class TestCsvEmitters:
         assert float(row.split(",")[0]) == sorted(result.records, key=lambda r: r.du_value)[
             dus.index(float(row.split(",")[0]))
         ].du_value
+
+    @pytest.mark.parametrize("chunk", [3, harness.CHUNK])
+    @pytest.mark.parametrize("order, key", [("du", "du_value"), ("ub", "ub")])
+    def test_tightness_csv_text(self, tmp_path, monkeypatch, chunk, order, key):
+        # rows are written a block at a time; the text is that of one
+        # f-string per row, whatever the block size
+        monkeypatch.setattr("unitarity.io.CHUNK", chunk)
+        records = [
+            harness.TightnessRecord(0.1, 1 / 3, 5e-324, -0.0, 1e16, 0.7, 0),
+            harness.TightnessRecord(1 / 3, 0.1, -0.0, -2.5e-17, 0.0, 0.4, 2**64 - 1),
+            harness.TightnessRecord(0.25, 0.2, 0.1, -1 / 3, 5e-324, 1e16, 17),
+            harness.TightnessRecord(1e16, -0.0, 1 / 3, -1e-300, 0.1, 0.1, 3),
+            harness.TightnessRecord(-0.0, 5e-324, 0.1, -0.1, 1 / 3, 1 / 3, 2**63),
+            harness.TightnessRecord(5e-324, 1e16, 0.2, -7.0, -0.0, 0.5, 1),
+            harness.TightnessRecord(0.5, 0.5, 0.5, -0.5, 0.5, 0.6, 99),
+        ]
+        path = tmp_path / "tight.csv"
+        write_tightness_csv(records, str(path), order=order)
+        expected = "".join(
+            f"{r.du_value:.17g},{r.lb1:.17g},{r.lb2:.17g},"
+            f"{r.lb1_err:.17g},{r.lb2_err:.17g},{r.ub:.17g},{r.seed}\n"
+            for r in sorted(records, key=lambda r: getattr(r, key))
+        )
+        assert path.read_text() == TIGHTNESS_HEADER + "\n" + expected
+        write_tightness_csv([], str(path), order=order)
+        assert path.read_text() == TIGHTNESS_HEADER + "\n"
 
     def test_distribution_csv_contract(self, tmp_path):
         hist = run_distribution(samples=60, env_dims=[2], seed=43)[0]

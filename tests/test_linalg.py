@@ -220,6 +220,15 @@ class TestHaarStack:
         full = haar_from_ginibre(g)
         cols = slice(1, None, 3)
         assert np.array_equal(haar_from_ginibre(g, cols), full[..., cols])
+        # only the leading columns up to the last one kept are factored, and
+        # the kept ones are bit for bit those of the full factorization
+        for cols in ([4, 0], [-1], slice(0, -1, 2)):
+            assert np.array_equal(haar_from_ginibre(g, cols), full[..., cols])
+        for n in (2, 3, 4):
+            for d in (1, 2, 3, 4):
+                g = ginibre_stack(n * d, [np.random.default_rng([n, d])], 20)
+                cols = d * np.arange(n)
+                assert np.array_equal(haar_from_ginibre(g, cols), haar_from_ginibre(g)[..., cols])
 
     def test_empty_stack(self):
         rng = np.random.default_rng(4)
