@@ -31,6 +31,7 @@ from .io import (
     load_trajectory,
     matrix_to_obj,
     write_distribution_csv,
+    write_table1_csv,
     write_tightness_csv,
 )
 
@@ -84,11 +85,7 @@ def _cmd_table1(args) -> int:
         print(f"{family}: max |du - closed_form| = {report.family_max_error(family):.3e}")
     print(f"overall max deviation: {report.max_abs_error:.3e}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("family,param,du,closed_form,error,method\n")
-            for r in report.rows:
-                fh.write(f"{r.family},{r.param:.17g},{r.du_value:.17g},"
-                         f"{r.closed_form:.17g},{r.error:.17g},{r.method}\n")
+        write_table1_csv(report, args.out)
         print(f"wrote {args.out}")
     return 0
 

@@ -38,6 +38,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +66,9 @@ BIN_WIDTH = 0.05
 WITNESS_RESTARTS = 8
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
+    """One Table 1 point; its fields, in order, are the Table 1 CSV's columns."""
+
     family: str
     param: float
     du_value: float
@@ -95,19 +97,11 @@ def run_table1(grid: int = 51, restarts: int = 8) -> Table1Report:
     grid_points = np.linspace(0.0, 1.0, grid).tolist()
     points = [(family, p) for family in CHANNEL_FAMILIES for p in grid_points]
     values, routes = _du_channels([_standard_kraus(*point) for point in points], restarts)
-    rows = []
-    for (family, p), value, route in zip(points, values.tolist(), routes.tolist()):
-        ref = closed_form_du(family, p)
-        rows.append(
-            Table1Row(
-                family=family,
-                param=p,
-                du_value=value,
-                closed_form=ref,
-                error=abs(value - ref),
-                method=_ROUTES[route],
-            )
-        )
+    refs = [closed_form_du(*point) for point in points]
+    rows = [
+        Table1Row(family, p, value, ref, abs(value - ref), _ROUTES[route])
+        for (family, p), ref, value, route in zip(points, refs, values.tolist(), routes.tolist())
+    ]
     return Table1Report(rows=tuple(rows), max_abs_error=max(r.error for r in rows))
 
 
@@ -291,7 +285,7 @@ def _sample(sys_dim: int, env_dim: int, seed: int, key: tuple[int, ...], total: 
     at a time: yields each chunk's seeds and its evaluated batch."""
     for start in range(0, total, CHUNK):
         seeds = _attempt_seeds(seed, key, start, min(CHUNK, total - start))
-        yield seeds.tolist(), _evaluate_dilation_batch(sys_dim, env_dim, seeds, restarts)
+        yield seeds, _evaluate_dilation_batch(sys_dim, env_dim, seeds, restarts)
 
 
 def _tally(bulk: _DuStack, kept=slice(None)) -> np.ndarray:
@@ -304,8 +298,9 @@ def _tally(bulk: _DuStack, kept=slice(None)) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TightnessRecord:
+class TightnessRecord(NamedTuple):
+    """One sampled channel; its fields, in order, are the tightness CSV's columns."""
+
     du_value: float
     lb1: float
     lb2: float
@@ -405,14 +400,11 @@ def run_tightness(
     )
 
 
-def _records(bulk: _DuStack, kept: list[int], seeds: list[int]) -> list[TightnessRecord]:
+def _records(bulk: _DuStack, kept: list[int], seeds: np.ndarray):
     """The records of entries ``kept`` of a batch, built from plain-float columns."""
-    columns = (getattr(bulk, name)[kept].tolist() for name in ("du", "lb1", "lb2", "ub"))
-    # positional in field order: du_value, lb1, lb2, lb1_err, lb2_err, ub, seed
-    return [
-        TightnessRecord(value, lb1, lb2, value - lb1, value - lb2, ub, seeds[i])
-        for i, value, lb1, lb2, ub in zip(kept, *columns)
-    ]
+    value, lb1, lb2, ub = (getattr(bulk, name)[kept] for name in ("du", "lb1", "lb2", "ub"))
+    columns = (value, lb1, lb2, value - lb1, value - lb2, ub, seeds[kept])  # field order
+    return map(TightnessRecord._make, zip(*(c.tolist() for c in columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +535,11 @@ class WitnessIncrease:
 class WitnessReport:
     """DU sequence along a trajectory with flagged increases.
 
-    A DU increase beyond the threshold certifies non-Markovian dynamics;
-    the absence of an increase is inconclusive, never a Markovianity
-    certificate.
+    A DU increase beyond the threshold is evidence of non-Markovian dynamics
+    for qubits only, where no CPTP step is known to raise DU. At n >= 3 it
+    certifies nothing: one more step of the n = 3 Werner-Holevo channel
+    raises DU from 2/9 to 1/3. No increase is inconclusive, never a
+    Markovianity certificate.
     """
 
     times: tuple[float, ...]

@@ -15,6 +15,10 @@ Trajectory JSON is {"dim": n, "times": [...], "channels": [channel, ...]}
 with one channel object per time point, at strictly ascending times.
 Every number must be a JSON number within the float range ("dim" an
 integral one); a boolean or a numeric string is a FormatError.
+
+The Table 1, tightness and distribution CSVs are each a header line, then
+one row per record at 17 significant digits. A Table 1 row and a tightness
+record are named tuples whose fields are their CSV's columns, in order.
 """
 
 from __future__ import annotations
@@ -149,26 +153,33 @@ def load_trajectory(path: str) -> Trajectory:
     return trajectory_from_obj(load_json(path))
 
 
+def _write_rows(path: str, head: str, row_format: str, rows) -> None:
+    """Write ``head``, then the sequence ``rows`` through ``row_format``, ``CHUNK``
+    rows at a time with one ``%`` operation a block."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head)
+        for start in range(0, len(rows), CHUNK):
+            block = rows[start:start + CHUNK]
+            fh.write(row_format * len(block) % tuple(chain.from_iterable(block)))
+
+
+TABLE1_HEADER = "family,param,du,closed_form,error,method"
+
+
+def write_table1_csv(report, path: str) -> None:
+    """Emit the rows of a Table 1 report, in the report's order."""
+    _write_rows(path, TABLE1_HEADER + "\n", "%s," + "%.17g," * 4 + "%s\n", report.rows)
+
+
 TIGHTNESS_HEADER = "du,lb1,lb2,lb1_err,lb2_err,ub,seed"
-_TIGHTNESS_ROW = "%.17g," * 6 + "%d\n"
 
 
 def write_tightness_csv(records: Iterable, path: str, order: str = "du") -> None:
-    """Emit tightness records, sorted by 'du' or by 'ub'.
-
-    Rows are formatted ``CHUNK`` at a time, with one ``%`` operation a block.
-    """
+    """Emit tightness records, sorted by 'du' or by 'ub'."""
     if order not in ("du", "ub"):
         raise ValueError(f"order must be 'du' or 'ub', got {order!r}")
     records = sorted_by_du(records) if order == "du" else sorted_by_ub(records)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TIGHTNESS_HEADER + "\n")
-        for start in range(0, len(records), CHUNK):
-            block = records[start:start + CHUNK]
-            fh.write(_TIGHTNESS_ROW * len(block) % tuple(chain.from_iterable(
-                (r.du_value, r.lb1, r.lb2, r.lb1_err, r.lb2_err, r.ub, r.seed)
-                for r in block
-            )))
+    _write_rows(path, TIGHTNESS_HEADER + "\n", "%.17g," * 6 + "%d\n", records)
 
 
 DISTRIBUTION_HEADER = "bin_lo,bin_hi,count"
@@ -176,11 +187,8 @@ DISTRIBUTION_HEADER = "bin_lo,bin_hi,count"
 
 def write_distribution_csv(hist, path: str) -> None:
     """Emit one DU histogram with its summary line, which names the binned column."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"# mean={hist.mean:.17g} samples={hist.sample_count} "
-            f"env_dim={hist.env_dim} seed={hist.seed} du_column={hist.du_column}\n"
-        )
-        fh.write(DISTRIBUTION_HEADER + "\n")
-        for lo, hi, count in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
-            fh.write(f"{lo:.17g},{hi:.17g},{count}\n")
+    edges = hist.bin_edges.tolist()
+    summary = (f"# mean={hist.mean:.17g} samples={hist.sample_count} "
+               f"env_dim={hist.env_dim} seed={hist.seed} du_column={hist.du_column}\n")
+    rows = list(zip(edges[:-1], edges[1:], hist.counts.tolist()))
+    _write_rows(path, summary + DISTRIBUTION_HEADER + "\n", "%.17g,%.17g,%d\n", rows)

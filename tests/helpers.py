@@ -10,7 +10,7 @@ import importlib
 
 import numpy as np
 
-from unitarity import KrausChannel
+from unitarity import KrausChannel, convex_unitary_mixture
 
 # The module, for patching its constants: the attribute ``unitarity.du`` is
 # the function du(), which shadows the submodule.
@@ -69,6 +69,38 @@ def v_type_amplitude_damping(g) -> KrausChannel:
         op[0, j] = np.sqrt(1.0 - gj * gj)
         ops.append(op)
     return KrausChannel(n, tuple(ops))
+
+
+def werner_holevo(n: int) -> KrausChannel:
+    """The antisymmetric Werner-Holevo channel, Kraus operators
+    (|i><j| - |j><i|) / sqrt(n - 1) for i < j. Its DU is 2/n^2 for odd n and
+    2/(n(n - 1)) for even n: f(U) = ||U - U^T||_F^2 / (2(n - 1)), and
+    Re tr(U conj(U)) is at least -n for even n (U the symplectic form) and
+    2 - n for odd n (the eigenvalue -1 of U conj(U) has even multiplicity)."""
+    ops = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            op = np.zeros((n, n), dtype=np.complex128)
+            op[i, j], op[j, i] = 1.0, -1.0
+            ops.append(op / np.sqrt(n - 1))
+    return KrausChannel(n, tuple(ops))
+
+
+def werner_holevo_du(n: int) -> float:
+    return 2.0 / n**2 if n % 2 else 2.0 / (n * (n - 1))
+
+
+def qutrit_weyl_depolarizing(p: float) -> KrausChannel:
+    """p rho + (1 - p) I/3 as the mixture of the 9 Weyl operators X^a Z^c, weight
+    p + (1 - p)/9 on the identity and (1 - p)/9 on each other; its DU is the
+    identity's weight."""
+    x = np.roll(np.eye(3), 1, axis=0)
+    z = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    weyl = [np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, c)
+            for a in range(3) for c in range(3)]
+    probs = np.full(9, (1.0 - p) / 9)
+    probs[0] += p
+    return convex_unitary_mixture(weyl, probs)
 
 
 def reference_table1_rows(grid: int, restarts: int = 8) -> tuple:

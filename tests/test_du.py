@@ -37,7 +37,10 @@ from helpers import (
     reference_mixed_unitary_du,
     reference_unitary_multiples,
     remix_kraus,
+    qutrit_weyl_depolarizing,
     v_type_amplitude_damping,
+    werner_holevo,
+    werner_holevo_du,
 )
 
 
@@ -432,6 +435,25 @@ class TestDispatcher:
             no_warm = np.zeros((1, 0, n, n), dtype=np.complex128)
             value = _ascend(ops, no_warm, [np.random.default_rng(i)], 8, False)[0]
             assert abs(value[0] - want) <= 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_werner_holevo_closed_form(self, n):
+        # unital, and not a mixture of unitaries at n = 3; the Haar starts
+        # alone must also reach DU = 2/n^2 (odd n) or 2/(n(n - 1)) (even n)
+        ch = werner_holevo(n)
+        want = werner_holevo_du(n)
+        res, _ = du(ch)
+        assert abs(res.value - want) <= 1e-12
+        _, ops = _canonical_stack(ch.kraus[None])
+        no_warm = np.zeros((1, 0, n, n), dtype=np.complex128)
+        for seed in range(4):
+            value = _ascend(ops, no_warm, [np.random.default_rng(seed)], 8, False)[0]
+            assert abs(value[0] - want) <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.9, 0.5])
+    def test_qutrit_weyl_depolarizing_closed_form(self, p):
+        res, _ = du(qutrit_weyl_depolarizing(p))
+        assert abs(res.value - (p + (1 - p) / 9)) <= 1e-12
 
     def test_ascent_v_type_amplitude_damping_with_a_zero_rate(self):
         res, _ = du(v_type_amplitude_damping([0.0, 0.5]))

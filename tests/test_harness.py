@@ -15,8 +15,10 @@ from unitarity import (
     KrausChannel,
     Trajectory,
     closed_form_du,
+    compose,
     du,
     harness,
+    identity_channel,
     random_channel,
     require_trace_preserving,
     run_distribution,
@@ -26,6 +28,7 @@ from unitarity import (
     standard_channel,
 )
 from unitarity.channels import STANDARD_KINDS
+from unitarity.cli import main
 from unitarity.du import _ROUTES, _du_stack
 from unitarity.harness import (
     CHANNEL_FAMILIES,
@@ -38,6 +41,7 @@ from unitarity.harness import (
 )
 from unitarity.io import (
     DISTRIBUTION_HEADER,
+    TABLE1_HEADER,
     TIGHTNESS_HEADER,
     write_distribution_csv,
     write_tightness_csv,
@@ -49,6 +53,7 @@ from helpers import (
     reference_table1_rows,
     reference_witness_values,
     remix_kraus,
+    werner_holevo,
 )
 
 
@@ -595,6 +600,17 @@ class TestWitness:
         report = run_witness(self.damping_trajectory([0.5, 0.5 - 1e-9]), threshold=1e-6)
         assert not report.non_markovian
 
+    def test_cp_divisible_qutrit_trajectory_is_flagged(self):
+        # (identity, W, W.W) with W the n = 3 Werner-Holevo channel: every step
+        # is the CPTP map W, yet DU goes 1 -> 2/9 -> 1/3 (W.W is the
+        # depolarizing channel rho/4 + (3/4) I/3). Beyond qubits a flagged
+        # increase is no certificate of non-Markovianity.
+        w = werner_holevo(3)
+        traj = Trajectory((0.0, 1.0, 2.0), (identity_channel(3), w, compose(w, w)))
+        report = run_witness(traj)
+        assert np.all(np.abs(report.du_values - [1.0, 2 / 9, 1 / 3]) <= 1e-12)
+        assert [(inc.t_from, inc.t_to) for inc in report.increases] == [(1.0, 2.0)]
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_values_match_per_channel_du(self, n):
         # Kraus counts 1-4 in one trajectory: several stacks, and every
@@ -692,6 +708,51 @@ class TestCsvEmitters:
         assert path.read_text() == TIGHTNESS_HEADER + "\n" + expected
         write_tightness_csv([], str(path), order=order)
         assert path.read_text() == TIGHTNESS_HEADER + "\n"
+
+    @pytest.mark.parametrize(
+        "record, header",
+        [(harness.TightnessRecord, TIGHTNESS_HEADER), (harness.Table1Row, TABLE1_HEADER)],
+    )
+    def test_record_fields_are_the_csv_columns(self, record, header):
+        # a record is its CSV row: the fields, in order, are the columns
+        assert [{"du_value": "du"}.get(f, f) for f in record._fields] == header.split(",")
+
+    def test_records_are_immutable(self):
+        records = (
+            harness.TightnessRecord(0.5, 0.5, 0.5, 0.0, 0.0, 0.6, 1),
+            harness.Table1Row("bit_flip", 0.5, 0.5, 0.5, 0.0, "exact_mixed_unitary"),
+        )
+        for record in records:
+            with pytest.raises(AttributeError):
+                record.du_value = 0.0
+
+    @pytest.mark.parametrize("chunk", [7, harness.CHUNK])
+    def test_table1_csv_text(self, tmp_path, monkeypatch, capsys, chunk):
+        # the text is that of one f-string per row, whatever the block size
+        monkeypatch.setattr("unitarity.io.CHUNK", chunk)
+        path = tmp_path / "table1.csv"
+        assert main(["table1", "--grid", "51", "--out", str(path)]) == 0
+        expected = "".join(
+            f"{r.family},{r.param:.17g},{r.du_value:.17g},"
+            f"{r.closed_form:.17g},{r.error:.17g},{r.method}\n"
+            for r in run_table1(51).rows
+        )
+        assert path.read_text() == "family,param,du,closed_form,error,method\n" + expected
+
+    @pytest.mark.parametrize("env_dim", [1, 4])
+    def test_distribution_csv_text(self, tmp_path, env_dim):
+        hist = run_distribution(samples=50, env_dims=[env_dim], seed=44, num_bins=9)[0]
+        path = tmp_path / "dist.csv"
+        write_distribution_csv(hist, str(path))
+        expected = (
+            f"# mean={hist.mean:.17g} samples={hist.sample_count} "
+            f"env_dim={hist.env_dim} seed={hist.seed} du_column={hist.du_column}\n"
+            "bin_lo,bin_hi,count\n"
+        ) + "".join(
+            f"{lo:.17g},{hi:.17g},{count}\n"
+            for lo, hi, count in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts)
+        )
+        assert path.read_text() == expected
 
     def test_distribution_csv_contract(self, tmp_path):
         hist = run_distribution(samples=60, env_dims=[2], seed=43)[0]
