@@ -244,9 +244,9 @@ def _canonical_stack(kraus: np.ndarray):
     """Canonical form of a (B, K, n, n) stack of Kraus sets.
 
     One batched ``eigh`` of the correlation matrices. Returns the weights
-    (B, R) and the operators (B, R, n, n). R is the largest rank in the
-    stack (at most n^2, else ChannelValidationError); weights at or below
-    RANK_CUTOFF and their operators are set to zero.
+    (B, R) and the operators (B, R, n, n), R = min(K, n^2) by shape alone,
+    so no channel's set depends on the rest of its stack. Weights at or below
+    RANK_CUTOFF and their operators are zero; a rank above n^2 raises.
     """
     n_batch, k, n = kraus.shape[:3]
     flat = kraus.reshape(n_batch, k, n * n)
@@ -260,9 +260,10 @@ def _canonical_stack(kraus: np.ndarray):
         raise ChannelValidationError(
             f"correlation matrix rank {rank} exceeds dim^2 = {n * n}"
         )
-    keep = keep[:, :rank]
-    ops = np.einsum("bji,bjxy->bixy", vecs, kraus)[:, :rank]
-    weights = np.where(keep, vals[:, :rank], 0.0)
+    width = min(k, n * n)
+    keep = keep[:, :width]
+    ops = np.einsum("bji,bjxy->bixy", vecs, kraus)[:, :width]
+    weights = np.where(keep, vals[:, :width], 0.0)
     return weights, np.where(keep[..., None, None], ops, 0.0)
 
 
@@ -275,9 +276,10 @@ def canonicalize(ch: KrausChannel) -> CanonicalKraus:
     dim^2 operators survive.
     """
     weights, ops = _canonical_stack(ch.kraus[None])
+    rank = np.count_nonzero(weights[0])
     ops.flags.writeable = False
     weights.flags.writeable = False
-    return CanonicalKraus(dim=ch.dim, ops=ops[0], weights=weights[0])
+    return CanonicalKraus(dim=ch.dim, ops=ops[0, :rank], weights=weights[0, :rank])
 
 
 def _unitary_multiples(s: np.ndarray):

@@ -152,13 +152,18 @@ _ROUTES = (EXACT_METHOD, QUBIT_METHOD, OPTIMIZER_METHOD)
 
 
 def _bound_report(s: _DuStack) -> BoundReport:
-    """The bounds of the only channel of a record of one."""
+    """The bounds of the only channel of a record of one, without the
+    singular values of zero operators, such as those that fill its
+    canonical width."""
+    svals = s.singular_values[0]
+    svals = svals[svals[:, 0] > 0]
+    svals.flags.writeable = False
     return BoundReport(
         lb1=float(s.lb1[0]),
         lb1_simplified=float(s.lb1_simplified[0]),
         lb2=float(s.lb2[0]),
         ub=float(s.ub[0]),
-        singular_values=s.singular_values[0],
+        singular_values=svals,
         witness_lb1=s.witnesses[0, 0],
         witness_lb2=s.witnesses[0, 1],
     )

@@ -110,10 +110,12 @@ def _du_channels(kraus_sets: list, restarts: int) -> tuple[np.ndarray, np.ndarra
     each (K, n, n) Kraus array, bit for bit as ``du(KrausChannel(n, kraus),
     restarts=restarts)`` gives them.
 
-    The arrays are grouped by shape, and each group runs through the DU core
-    as one stack (see :func:`_du_group`). Every set is checked for trace
-    preservation first; the first that fails, in input order, raises
-    ChannelValidationError.
+    Every set is checked for trace preservation first; the first that fails,
+    in input order, raises ChannelValidationError. Then each shape's arrays
+    run through the DU core once, as one stack, in which a channel's
+    canonical width is fixed by its shape, as in a stack of one. Channels of
+    dimension 3 and up get the ``default_rng(0)`` that ``du`` builds; qubit
+    channels take exact routes, which draw nothing, so they get none.
     """
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, kraus in enumerate(kraus_sets):
@@ -126,26 +128,9 @@ def _du_channels(kraus_sets: list, restarts: int) -> tuple[np.ndarray, np.ndarra
     values = np.empty(len(kraus_sets))
     routes = np.empty(len(kraus_sets), dtype=int)
     for idx, kraus in stacks:
-        values[idx], routes[idx] = _du_group(kraus, restarts)
-    return values, routes
-
-
-def _du_group(kraus: np.ndarray, restarts: int) -> tuple[np.ndarray, np.ndarray]:
-    """DU and route of each channel of a (B, K, n, n) stack of trace-preserving
-    Kraus sets, each with the generator ``default_rng(0)`` that ``du`` builds.
-    A qubit stack takes the exact routes, which draw nothing, so it gets none.
-
-    The DU core pads a channel's canonical set with zero operators up to the
-    largest rank in its stack. That leaves its DU unchanged but not its
-    rounding, so the channels of lower rank run again as a stack of their own.
-    """
-    rngs = _generators(np.zeros(len(kraus), np.uint64)) if kraus.shape[-1] > 2 else None
-    s = _du_stack(kraus, rngs, restarts)
-    values, routes = s.du, s.route
-    rank = np.count_nonzero(s.singular_values[:, :, 0], axis=1)
-    lower = np.flatnonzero(rank < rank.max())
-    if lower.size:
-        values[lower], routes[lower] = _du_group(kraus[lower], restarts)
+        rngs = _generators(np.zeros(len(idx), np.uint64)) if kraus.shape[-1] > 2 else None
+        s = _du_stack(kraus, rngs, restarts)
+        values[idx], routes[idx] = s.du, s.route
     return values, routes
 
 
@@ -539,13 +524,15 @@ class WitnessReport:
     for qubits only, where no CPTP step is known to raise DU. At n >= 3 it
     certifies nothing: one more step of the n = 3 Werner-Holevo channel
     raises DU from 2/9 to 1/3. No increase is inconclusive, never a
-    Markovianity certificate.
+    Markovianity certificate. ``dim`` is the channels' dimension, and
+    ``verdict`` states what a flagged increase shows at it.
     """
 
     times: tuple[float, ...]
     du_values: np.ndarray
     increases: tuple[WitnessIncrease, ...]
     threshold: float
+    dim: int
 
     @property
     def non_markovian(self) -> bool:
@@ -558,6 +545,9 @@ class WitnessReport:
                 f"[{inc.t_from:g}, {inc.t_to:g}] (+{inc.delta:.3e})"
                 for inc in self.increases
             )
+            if self.dim > 2:
+                return (f"DU increased on {intervals}; at n = {self.dim} an increase "
+                        "is no certificate of non-Markovianity")
             return f"non-Markovian: DU increased on {intervals}"
         return (
             "inconclusive: no DU increase detected "
@@ -588,4 +578,5 @@ def run_witness(traj: Trajectory, threshold: float = 1e-6) -> WitnessReport:
         du_values=values,
         increases=tuple(increases),
         threshold=threshold,
+        dim=traj.channels[0].dim,
     )

@@ -319,6 +319,11 @@ class TestCanonicalize:
         assert validate(ch).passed
         ck = canonicalize(ch)
         assert len(ck.ops) == 2
+        # du() reports one singular-value row per canonical operator, as
+        # du_bounds does, not one per operator of the canonical width
+        svals = du(ch)[1].singular_values
+        assert svals.shape == (2, 2)
+        assert np.array_equal(svals, du_bounds(ck).singular_values)
 
     def test_at_most_dim_squared(self):
         rng = np.random.default_rng(4)

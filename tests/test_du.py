@@ -22,6 +22,7 @@ from unitarity.channels import (
     PAULI_Y,
     PAULI_Z,
     STANDARD_KINDS,
+    CanonicalKraus,
     KrausChannel,
     _canonical_stack,
     _unitary_multiples,
@@ -98,6 +99,14 @@ class TestBounds:
         # singular values {1, 0.8} and {0.6, 0}, hand-computed from A†A
         assert np.allclose(rep.singular_values[0], [1.0, 0.8])
         assert np.allclose(rep.singular_values[1], [0.6, 0.0])
+
+    def test_zero_operator_has_no_row(self):
+        # wherever a zero operator sits, the report has no row for it
+        ck = canonicalize(standard_channel("amplitude_damping", 0.36))
+        ops = np.stack([ck.ops[0], np.zeros((2, 2)), ck.ops[1]])
+        rep = du_bounds(CanonicalKraus(2, ops, np.append(ck.weights, 0.0)))
+        assert np.array_equal(rep.singular_values, du_bounds(ck).singular_values)
+        assert not rep.singular_values.flags.writeable
 
     def test_unitary_channel_all_one(self):
         u = haar_unitary(2, np.random.default_rng(2))
@@ -567,6 +576,14 @@ def _dilation_stack(n, d, seed, count):
     return np.stack([np.stack(random_channel(n, d, rng).kraus) for _ in range(count)])
 
 
+def _mixed_rank_stack(n, d, seed, count):
+    """Kraus stack (count, d, n, n) in which channel i is a Haar-dilation
+    channel of rank 1 + i % d, its operators mapped to d by a Haar isometry."""
+    rng = np.random.default_rng(seed)
+    ranks = [1 + i % d for i in range(count)]
+    return np.stack([remix_kraus(random_channel(n, r, rng), rng, extra=d - r).kraus for r in ranks])
+
+
 def _core(kraus, seed, restarts=8):
     """The DU core on a stack, channel i restarting from generator [seed, i]."""
     rngs = [np.random.default_rng([seed, i]) for i in range(len(kraus))]
@@ -585,9 +602,11 @@ class TestCoreProperties:
     routes (d = 1 gives unitary channels), the qubit kernel and the ascent."""
 
     @settings(max_examples=20, deadline=None, derandomize=True)
-    @given(count=st.integers(2, 4), **CORE_CASES)
-    def test_stack_matches_stacks_of_one(self, n, d, seed, count):
-        kraus = _dilation_stack(n, d, seed, count)
+    @given(count=st.integers(2, 4), mixed_rank=st.booleans(), **CORE_CASES)
+    def test_stack_matches_stacks_of_one(self, n, d, seed, count, mixed_rank):
+        # with mixed_rank, channels of ranks 1..d share one stack of d operators each
+        stack_of = _mixed_rank_stack if mixed_rank else _dilation_stack
+        kraus = stack_of(n, d, seed, count)
         stack = _core(kraus, seed, restarts=2)
         for i in range(count):
             alone = _du_stack(kraus[i : i + 1], [np.random.default_rng([seed, i])], 2)

@@ -584,7 +584,8 @@ class TestWitness:
             - closed_form_du("amplitude_damping", 0.5),
             abs=1e-9,
         )
-        assert "non-Markovian" in report.verdict
+        assert report.dim == 2
+        assert report.verdict == f"non-Markovian: DU increased on [1, 2] (+{inc.delta:.3e})"
 
     def test_constant_trajectory_no_flag(self):
         report = run_witness(self.damping_trajectory([0.3, 0.3, 0.3]))
@@ -610,6 +611,12 @@ class TestWitness:
         report = run_witness(traj)
         assert np.all(np.abs(report.du_values - [1.0, 2 / 9, 1 / 3]) <= 1e-12)
         assert [(inc.t_from, inc.t_to) for inc in report.increases] == [(1.0, 2.0)]
+        assert report.non_markovian and report.dim == 3
+        # the verdict names the interval but claims no non-Markovianity
+        assert report.verdict == (
+            "DU increased on [1, 2] (+1.111e-01); "
+            "at n = 3 an increase is no certificate of non-Markovianity"
+        )
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_values_match_per_channel_du(self, n):
@@ -623,7 +630,7 @@ class TestWitness:
 
     def test_lower_rank_channel_matches_per_channel_du(self):
         # 4 Kraus operators of rank 2 share a stack with rank-4 channels,
-        # whose canonical sets are the larger: it must run as its own stack.
+        # whose canonical sets are the larger: its value must be its own.
         rng = np.random.default_rng(11)
         low = remix_kraus(random_channel(3, 2, rng), rng, extra=2)
         chans = (random_channel(3, 4, rng), low, random_channel(3, 4, rng), low)
