@@ -32,7 +32,7 @@ from .io import (
     matrix_to_obj,
     write_distribution_csv,
     write_table1_csv,
-    write_tightness_csv,
+    write_tightness_csvs,
 )
 
 
@@ -109,10 +109,9 @@ def _cmd_tightness(args) -> int:
             print(f"# under-filled bin [{lo:.2f}, {hi:.2f}): "
                   f"{count}/{result.target_per_bin} records")
     if args.out:
-        write_tightness_csv(result.records, args.out, order="du")
         root, ext = os.path.splitext(args.out)
         by_ub = f"{root}_by_ub{ext or '.csv'}"
-        write_tightness_csv(result.records, by_ub, order="ub")
+        write_tightness_csvs(result.records, args.out, by_ub)
         print(f"wrote {args.out} (sorted by du) and {by_ub} (sorted by ub)")
     else:
         for r in sorted_by_du(result.records):

@@ -10,9 +10,11 @@ the whole stack:
 
 1. the canonical orthogonal Kraus form (one batched ``eigh``);
 2. certified lower/upper bounds from the singular values of the canonical
-   operators and their polar-decomposition nearest unitaries, all from one
-   call of the kernel :func:`~unitarity.linalg._svd_polar` (closed form for
-   qubits, one batched SVD otherwise);
+   operators and the polar-decomposition nearest unitaries of two of them,
+   from the kernel :func:`~unitarity.linalg._svd_polar` (closed form for
+   qubits, one batched SVD otherwise) for every operator, or, for channels
+   of more than four operators at n >= 3, from one batched SVD without
+   vectors and polar factors for the two witnesses only;
 3. the exact value for channels whose canonical operators are all
    proportional to unitaries (all singular values of each equal, read from
    stage 2): max_k |alpha_k|^2 = w_0 / n with the lb1 witness polar(F_0);
@@ -24,7 +26,12 @@ the whole stack:
    The objective f(U) = sum_k |<U, E_k>|^2 is a PSD quadratic form in U,
    so linearizing at U and projecting the gradient back to the unitary
    manifold (U <- polar(sum_k tr(E_k† U) E_k)) is monotonically
-   non-decreasing. The ascent runs from Haar-random restarts plus the two
+   non-decreasing. That sweep converges linearly, so at n <= 8 a start
+   whose sweep gains less than NEWTON_SWITCH_TOL * max(1, f) switches to
+   Riemannian Newton steps on U(n) (Absil, Mahony & Sepulchre, Optimization Algorithms
+   on Matrix Manifolds, 2008), retracted by U <- polar(U (I + iH)) and kept
+   only where they raise f, which converge quadratically to the start's
+   fixed point. The ascent runs from Haar-random restarts plus the two
    bound witnesses as warm starts, which also guarantees the result never
    falls below the lower bounds. Most starts of a channel climb into the
    same basin, so after each sweep a start that has come within about 14%
@@ -50,6 +57,7 @@ and the witness one stack per Kraus-stack shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -78,6 +86,11 @@ CONVERGENCE_TOL = 1e-12
 DUPLICATE_TOL = 1e-2
 MAX_ITERATIONS = 10_000
 DEFAULT_RESTARTS = 32
+# At n <= NEWTON_MAX_DIM a start takes Riemannian Newton steps once one of
+# its polar sweeps gains less than NEWTON_SWITCH_TOL * max(1, f). Above it
+# the O(n^4)-entry Hessian costs more than the polar tail it replaces.
+NEWTON_SWITCH_TOL = 1e-6
+NEWTON_MAX_DIM = 8
 
 # Bound-consistency guard: computed value must sit in [lb - BOUND_SLACK,
 # ub + BOUND_SLACK].
@@ -88,11 +101,13 @@ BOUND_SLACK = 1e-9
 class DuResult:
     """Best available DU value with the (near-)maximizing unitary witness.
 
-    ``iterations`` is the winning start's own sweep count (0 on the exact
-    routes), and ``objective_trace``, when requested, that start's objective
-    before and after each sweep. ``sweeps_total`` is the sweeps of all starts
-    together, one polar factor each: the ascent's real cost (0 on the exact
-    routes). ``witness`` is a read-only (n, n) complex128 array.
+    ``iterations`` is the winning start's own sweep count, a Newton step
+    counting as one sweep (0 on the exact routes), and ``objective_trace``,
+    when requested, that start's objective before and after each sweep.
+    ``sweeps_total`` is the polar factors of all starts together, one per
+    sweep or Newton step and two for a Newton step replaced by a polar
+    sweep: the ascent's real cost (0 on the exact routes). ``witness`` is a
+    read-only (n, n) complex128 array.
     """
 
     value: float
@@ -184,18 +199,34 @@ def _du_result(s: _DuStack, objective_trace: tuple[float, ...] | None = None) ->
     )
 
 
+# The bound stage factors every operator when a channel has at most this
+# many, as every qubit channel's canonical set does: an SVD without vectors
+# then saves less than the witnesses' own factors cost (measured at
+# n = 3..16 on stacks of one).
+_FACTOR_ALL_MAX_OPS = 4
+
+
 def _bound_stack(ops: np.ndarray) -> _DuStack:
     """Bounds of a (B, K, n, n) stack of canonical operators.
 
-    One :func:`~unitarity.linalg._svd_polar` call gives the singular values
-    and polar factors of every operator, at every n; :func:`_du_stack` reads
-    its exact mixed-unitary test from the same singular values.
+    Every operator's singular values, from which :func:`_du_stack` also
+    reads its exact mixed-unitary test, and the polar factors of each
+    channel's operator 0 and of its operator of largest nuclear norm, the
+    lb1 and lb2 witnesses. A stack of at most _FACTOR_ALL_MAX_OPS operators
+    per channel takes both for every operator from
+    :func:`~unitarity.linalg._svd_polar` (for qubits a closed form, at no
+    extra cost per operator); a wider one takes singular values alone from
+    one batched SVD and polar factors for the two witnesses only.
     """
     n = ops.shape[-1]
-    svals, polars = _svd_polar(ops)
+    if ops.shape[1] <= _FACTOR_ALL_MAX_OPS:
+        svals, polars = _svd_polar(ops)
+    else:
+        svals, polars = np.linalg.svd(ops, compute_uv=False), None
     nuc = svals.sum(axis=-1)
     # per channel, operator 0 and the one of largest nuclear norm
-    w = polars[np.arange(len(ops))[:, None], np.argmax(nuc, axis=1)[:, None] * [0, 1]]
+    pick = np.arange(len(ops))[:, None], np.argmax(nuc, axis=1)[:, None] * [0, 1]
+    w = _svd_polar(ops[pick])[1] if polars is None else polars[pick]
     svals.flags.writeable = w.flags.writeable = False  # BoundReport hands out views
     lb = (np.abs(np.einsum("bkij,bwij->bwk", ops.conj(), w)) ** 2).sum(axis=-1) / n**2
     return _DuStack(
@@ -234,6 +265,77 @@ def _qubit_du_stack(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[:, -1] / 4.0, witnesses
 
 
+@lru_cache(maxsize=None)
+def _tangent_basis(n: int):
+    """An orthonormal basis B_j of the n^2 - 1 traceless Hermitian n x n
+    matrices, tr(B_j B_l) = delta_jl: the generalized Gell-Mann matrices,
+    built on first use at each n (only n <= NEWTON_MAX_DIM takes them).
+
+    Returns, each a read-only array: the conjugate of the basis flattened
+    row-major (N, n^2), the float64 view of the flattened basis (N, 2 n^2)
+    and that view's contiguous transpose, the float64 view of i times the
+    flattened basis, and the basis stacked as one (N n, n) matrix.
+    """
+    count = n * n - 1
+    rows, cols = np.triu_indices(n, 1)
+    pairs = np.arange(len(rows))
+    b = np.zeros((count, n, n), dtype=np.complex128)
+    b[pairs, rows, cols] = b[pairs, cols, rows] = 1 / np.sqrt(2.0)
+    b[len(rows) + pairs, rows, cols] = -1j / np.sqrt(2.0)
+    b[len(rows) + pairs, cols, rows] = 1j / np.sqrt(2.0)
+    # diag(1, ..., 1, -l, 0, ..., 0) / sqrt(l (l + 1)) with l ones, l = 1 .. n-1
+    level = np.arange(1, n)
+    diag = np.tri(n - 1, n) - level[:, None] * np.eye(n - 1, n, 1)
+    b[2 * len(rows):, np.arange(n), np.arange(n)] = diag / np.sqrt(level * (level + 1))[:, None]
+    flat = b.reshape(count, n * n)
+    real = flat.view(np.float64)
+    arrays = (flat.conj(), real, np.ascontiguousarray(real.T), (1j * flat).view(np.float64),
+              b.reshape(count * n, n))
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
+def _newton_candidates(u: np.ndarray, g: np.ndarray, fh: np.ndarray):
+    """Riemannian Newton candidates U (I + i H) for a stack of m starts.
+
+    ``u`` (m, n, n) are the starts, ``g`` (m, n, n) their G = sum_k
+    tr(F_k† U) F_k, and ``fh`` (m, K n, n) their channels' F_k† stacked.
+    Along U exp(i sum_j x_j B_j) (:func:`_tangent_basis`), with S = U† G,
+    f has gradient 2 Re tr(S† i B_j) and Hessian 2 Re(conj(T) T^T) -
+    Re(P + P^T), where T[j, k] = tr(F_k† U B_j) and P[j, l] =
+    tr(S† B_j B_l); Re(P + P^T) = 2 Re tr(Sh B_j B_l) with Sh the Hermitian
+    part of S. The Newton step H = sum_j x_j B_j solves Hessian x =
+    -gradient. Every product is a matmul or solve per start, so a start's
+    candidate does not depend on which other starts share the stack.
+    Returns the candidates (m, n, n) and whether each start's system could
+    be solved (its candidate is meaningless where it could not).
+    """
+    m, n = u.shape[:2]
+    flat_c, real, real_t, grad_basis, stacked = _tangent_basis(n)
+    uh = u.conj().transpose(0, 2, 1)
+    s = uh @ g
+    half_grad = grad_basis @ s.reshape(m, n * n).view(np.float64)[..., None]
+    t = flat_c @ (fh @ u).reshape(m, -1, n * n).transpose(0, 2, 1)  # (m, N, K)
+    tv = t.view(np.float64)
+    z = (stacked @ ((s + s.conj().transpose(0, 2, 1)) / 2)).reshape(m, -1, n * n)
+    # Re tr(Sh B_j B_l) is symmetric in j and l; [l, j] is the faster product
+    half_hess = tv @ tv.transpose(0, 2, 1) - z.view(np.float64) @ real_t
+    try:
+        x = np.linalg.solve(half_hess, -half_grad)
+    except np.linalg.LinAlgError:
+        x = np.full_like(half_grad, np.nan)
+        for i in range(m):
+            try:
+                x[i] = np.linalg.solve(half_hess[i], -half_grad[i])
+            except np.linalg.LinAlgError:
+                pass
+    solved = np.isfinite(x).all(axis=(1, 2))
+    step = 1j * (x.transpose(0, 2, 1) @ real).view(np.complex128).reshape(m, n, n)
+    step[:, np.arange(n), np.arange(n)] += 1.0
+    return u @ np.where(solved[:, None, None], step, 0.0), solved
+
+
 def _ascend(
     ops: np.ndarray,
     warm: np.ndarray,
@@ -245,9 +347,17 @@ def _ascend(
 
     Each channel starts from its warm starts ``warm`` (A, W, n, n) plus
     ``restarts`` Haar unitaries that its generator draws as one stack, and
-    only the starts still ascending are polar-decomposed. A start retires
-    once its objective f improves by less than CONVERGENCE_TOL * max(1, f)
-    in a sweep, after MAX_ITERATIONS sweeps, or once it has joined a better
+    only the starts still ascending take a sweep, all of them in one
+    :func:`~unitarity.linalg._svd_polar` call. A start sweeps U <-
+    polar(G) until one such sweep gains less than NEWTON_SWITCH_TOL *
+    max(1, f); from then on, at n <= NEWTON_MAX_DIM, its sweep is a
+    Riemannian Newton step U <- polar(U (I + iH)) (:func:`_newton_candidates`).
+    A Newton step that does not raise f, or whose system cannot be solved,
+    is replaced in the same sweep by the polar sweep, and the start takes
+    polar sweeps from then on; such a step counts as one sweep and two
+    polar factors, and its gain is the polar sweep's. A start retires once
+    its objective f improves by less than CONVERGENCE_TOL * max(1, f) in a
+    sweep, after MAX_ITERATIONS sweeps, or once it has joined a better
     start: after each sweep, a start whose unitary is near, up to a global
     phase, one of its channel's starts that has not joined another
     (|<U_a, U_b>| > n (1 - DUPLICATE_TOL), a Frobenius distance below
@@ -262,11 +372,10 @@ def _ascend(
 
     Returns, for each channel's winner, its DU, its unitary, its own sweep
     count, whether it converged, and with ``want_trace`` its raw objectives
-    f(U) = sum_k |<U, F_k>|^2 before and after each sweep; and each
-    channel's sweeps over all its starts, which is the number of polar
-    factors the ascent computed for it. An ascent step that decreases the
-    objective beyond floating-point noise indicates a broken update and
-    raises ArithmeticError.
+    f(U) = sum_k |<U, F_k>|^2 before and after each sweep; and the number
+    of polar factors the ascent computed for each channel. A polar sweep
+    that decreases the objective beyond floating-point noise indicates a
+    broken update and raises ArithmeticError.
     """
     n = ops.shape[-1]
     u = np.concatenate([warm, haar_from_ginibre(ginibre_stack(n, rngs, restarts))], axis=1)
@@ -277,9 +386,16 @@ def _ascend(
     ov = u @ flat_h
     f = (np.abs(ov) ** 2).sum(axis=-1).ravel()
     sweeps = np.zeros(a * p, dtype=int)
+    fallbacks = np.zeros(a * p, dtype=int)  # polar sweeps that replaced a Newton step
     active = np.ones(a * p, dtype=bool)
     joined = np.zeros((a, p), dtype=bool)
     earlier = np.tri(p, k=-1, dtype=bool)  # [a, b]: b < a
+    # each start's mode: 0 polar sweeps, 1 Newton steps, 2 polar sweeps for
+    # good after a Newton step failed
+    mode = np.zeros(a * p, dtype=np.int8)
+    newton_dims = n <= NEWTON_MAX_DIM
+    if newton_dims:
+        fh = np.ascontiguousarray(ops.conj().transpose(0, 1, 3, 2)).reshape(a, -1, n)
     # f of every start after each sweep; a retired start's f stays fixed
     history = [f.copy()] if want_trace else None
     iterations = 0
@@ -289,19 +405,43 @@ def _ascend(
         ascending = by_channel.any(axis=1)
         live = slice(None) if ascending.all() else np.flatnonzero(ascending)
         act = by_channel[live]
-        g = (ov[live] @ flat[live])[act]
-        u.reshape(-1, n * n)[idx] = _svd_polar(g.reshape(-1, n, n))[1].reshape(-1, n * n)
+        g = (ov[live] @ flat[live])[act].reshape(-1, n, n)
+        newton = mode[idx] == 1 if newton_dims else None
+        stepped = newton is not None and newton.any()
+        factor_input = g
+        if stepped:
+            at = idx[newton]
+            cand, solved = _newton_candidates(u.reshape(-1, n, n)[at], g[newton], fh[at // p])
+            mode[at[~solved]] = 2
+            newton[newton] = solved
+            factor_input = g.copy()
+            factor_input[newton] = cand[solved]
+        u.reshape(-1, n * n)[idx] = _svd_polar(factor_input)[1].reshape(-1, n * n)
         u_live = u[live]
         ov[live] = ov_live = u_live @ flat_h[live]
         f_new = (np.abs(ov_live[act]) ** 2).sum(axis=-1)
         f_old = f[idx]
+        if stepped:
+            # a Newton step that does not raise f is replaced by a polar sweep
+            failed = newton & ~(f_new > f_old)
+            if failed.any():
+                at = idx[failed]
+                u.reshape(-1, n * n)[at] = _svd_polar(g[failed])[1].reshape(-1, n * n)
+                fallbacks[at] += 1
+                mode[at] = 2
+                u_live = u[live]
+                ov[live] = ov_live = u_live @ flat_h[live]
+                f_new = (np.abs(ov_live[act]) ** 2).sum(axis=-1)
         delta = f_new - f_old
         if np.any(delta < -1e-10 * np.maximum(1.0, f_old)):
             raise ArithmeticError("ascent step decreased the objective")
         f[idx] = f_new
         iterations += 1
         sweeps[idx] = iterations
-        active[idx[np.abs(delta) < CONVERGENCE_TOL * np.maximum(1.0, f_new)]] = False
+        scale = np.maximum(1.0, f_new)
+        active[idx[np.abs(delta) < CONVERGENCE_TOL * scale]] = False
+        if newton_dims:
+            mode[idx[(mode[idx] == 0) & (delta < NEWTON_SWITCH_TOL * scale)]] = 1
         f_live = f.reshape(a, p)[live]
         ahead = (f_live[:, None, :] > f_live[:, :, None]) | (
             (f_live[:, None, :] == f_live[:, :, None]) & earlier
@@ -319,7 +459,7 @@ def _ascend(
         sweeps[best],
         ~active[best],
         [np.array(history)[: sweeps[i] + 1, i].tolist() for i in best] if want_trace else None,
-        sweeps.reshape(a, p).sum(axis=1),
+        (sweeps + fallbacks).reshape(a, p).sum(axis=1),
     )
 
 
@@ -341,9 +481,9 @@ def du_optimize(
 
     Runs ``restarts`` Haar-random starts plus the two bound witnesses as
     warm starts; a start is converged when its objective f improves by less
-    than CONVERGENCE_TOL * max(1, f) in a sweep before MAX_ITERATIONS
-    sweeps, and retires early once it joins a better start (see
-    :func:`_ascend`).
+    than CONVERGENCE_TOL * max(1, f) in a sweep (a polar sweep or, at
+    n <= NEWTON_MAX_DIM, a Newton step) before MAX_ITERATIONS sweeps, and
+    retires early once it joins a better start (see :func:`_ascend`).
     ``converged`` reports the best run's own flag.
     With ``trace=True`` the best run's objective sequence is attached.
     Takes the ascent for every channel, so it is the reference for the

@@ -2,11 +2,11 @@
 
 Everything operates on plain numpy ``complex128`` arrays in row-major order.
 
-The DU core takes every singular value and polar factor from one kernel,
-:func:`_svd_polar`, the only choice of algorithm by size: the closed form
-:func:`_svd_polar_2x2` at 2x2 (no LAPACK call), else one batched SVD. Its
-singular values are sorted in descending order so downstream results
-serialize deterministically.
+The DU core takes every polar factor from one kernel, :func:`_svd_polar`,
+the only choice of algorithm by size: the closed form :func:`_svd_polar_2x2`
+at 2x2 (no LAPACK call), else one batched SVD. Its singular values, like
+those of the bound stage's SVD without vectors, are sorted in descending
+order so downstream results serialize deterministically.
 
 Haar sampling has one path: :func:`ginibre_stack` draws the Gaussian
 entries, one ``standard_normal`` call per generator, and

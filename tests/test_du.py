@@ -27,7 +27,14 @@ from unitarity.channels import (
     _canonical_stack,
     _unitary_multiples,
 )
-from unitarity.du import _ascend, _bound_stack, _du_stack, _DuStack, _qubit_du_stack
+from unitarity.du import (
+    _ascend,
+    _bound_stack,
+    _du_stack,
+    _DuStack,
+    _newton_candidates,
+    _qubit_du_stack,
+)
 from unitarity.linalg import _svd_polar
 
 from helpers import (
@@ -179,6 +186,13 @@ class TestQubitBoundStage:
         rng = np.random.default_rng(300 + sys_dim)
         self.check(_padded_kraus([random_channel(sys_dim, 1 + i % 4, rng) for i in range(32)]))
 
+    @pytest.mark.parametrize("sys_dim", [3, 8])
+    def test_random_batches_wider_than_four_operators(self, sys_dim):
+        # singular values from an SVD without vectors, and polar factors for
+        # the two witnesses only
+        rng = np.random.default_rng(400 + sys_dim)
+        self.check(_padded_kraus([random_channel(sys_dim, 5 + i % 4, rng) for i in range(16)]))
+
     def test_standard_families(self):
         # one stack over the four families, so the zero padding operators and
         # the rank-deficient amplitude-damping jump operator go through it too
@@ -321,6 +335,55 @@ class TestOptimizer:
             calls.clear()
             *_, sweeps_total = _ascend(ops, warm, [np.random.default_rng(b)], 6, False)
             assert sweeps_total.tolist() == [sum(calls)]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_winner_is_a_critical_point(self, n):
+        # a polar sweep gaining less than CONVERGENCE_TOL does not put a start
+        # at its fixed point; the Newton finish does. The Riemannian gradient
+        # of f at the witness is the traceless anti-Hermitian part of U† G,
+        # G = sum_k tr(E_k† U) E_k, and must vanish relative to max(1, f).
+        for env in (2, 3, n):
+            ch = random_channel(n, env, np.random.default_rng([23, n, env]))
+            res, _ = du(ch)
+            assert (res.method, res.converged) == ("numerical_optimizer", True)
+            u = res.witness
+            c = np.einsum("kij,ij->k", ch.kraus.conj(), u)
+            s = u.conj().T @ np.einsum("k,kij->ij", c, ch.kraus)
+            skew = (s - s.conj().T) / 2 - np.trace(s).imag / n * 1j * np.eye(n)
+            assert np.linalg.norm(skew) / max(1.0, np.sum(np.abs(c) ** 2)) <= 1e-8
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_newton_finish_shortens_the_tail(self, n, monkeypatch):
+        # against the polar sweeps alone, the Newton finish takes the winner
+        # to its fixed point in fewer sweeps, and its value is no lower
+        channels = [random_channel(n, env, np.random.default_rng([6, n, env]))
+                    for env in sorted({2, n})]
+        newton = [du(ch)[0] for ch in channels]
+        monkeypatch.setattr(DU_MODULE, "NEWTON_MAX_DIM", 0)
+        polar = [du(ch)[0] for ch in channels]
+        for a, b in zip(newton, polar):
+            assert a.converged and b.converged
+            assert a.iterations < b.iterations
+            assert a.value >= b.value - 1e-15
+
+    def test_newton_step_with_a_singular_hessian(self):
+        # a start whose operators are all zero has a zero Hessian: its system
+        # is not solved, and the other start of the stack gets its own step,
+        # bit for bit as when it is alone
+        n = 3
+        rng = np.random.default_rng(1)
+        _, ops = _canonical_stack(random_channel(n, 3, rng).kraus[None])
+        u = haar_unitary(n, rng)
+        c = np.einsum("kij,ij->k", ops[0].conj(), u)
+        g = np.einsum("k,kij->ij", c, ops[0])
+        fh = ops[0].conj().transpose(0, 2, 1).reshape(-1, n)
+        alone, solved = _newton_candidates(u[None], g[None], fh[None])
+        assert solved.tolist() == [True]
+        zero = np.zeros_like(g)
+        cand, solved = _newton_candidates(np.stack([u, u]), np.stack([zero, g]),
+                                          np.stack([np.zeros_like(fh), fh]))
+        assert solved.tolist() == [False, True]
+        assert np.array_equal(cand[1], alone[0])
 
     def test_witness_reproduces_value(self):
         rng = np.random.default_rng(9)

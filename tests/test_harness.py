@@ -45,6 +45,7 @@ from unitarity.io import (
     TIGHTNESS_HEADER,
     write_distribution_csv,
     write_tightness_csv,
+    write_tightness_csvs,
 )
 
 from helpers import (
@@ -715,6 +716,26 @@ class TestCsvEmitters:
         assert path.read_text() == TIGHTNESS_HEADER + "\n" + expected
         write_tightness_csv([], str(path), order=order)
         assert path.read_text() == TIGHTNESS_HEADER + "\n"
+
+    @pytest.mark.parametrize("chunk", [3, harness.CHUNK])
+    def test_tightness_csvs_are_the_two_orders(self, tmp_path, monkeypatch, chunk):
+        # one formatting pass writes the bytes of both single-order files;
+        # records tied in du or in ub keep their input order in each
+        monkeypatch.setattr("unitarity.io.CHUNK", chunk)
+        ties = [
+            harness.TightnessRecord(0.5, 0.1, 0.2, -0.4, -0.3, 0.7, 5),
+            harness.TightnessRecord(0.25, 1 / 3, 0.2, -0.05, -0.05, 0.7, 2**64 - 1),
+            harness.TightnessRecord(0.5, 0.4, 0.5, -0.1, 0.0, 0.6, 0),
+            harness.TightnessRecord(-0.0, 5e-324, 0.0, -0.0, -0.0, 0.7, 9),
+            harness.TightnessRecord(0.0, 0.0, 0.0, 0.0, 0.0, 1e16, 3),
+        ]
+        for records in (ties, run_tightness(samples=40, env_dim=4, seed=8).records, []):
+            paths = [tmp_path / f"{name}.csv" for name in ("du", "ub", "one_du", "one_ub")]
+            write_tightness_csvs(records, str(paths[0]), str(paths[1]))
+            write_tightness_csv(records, str(paths[2]), order="du")
+            write_tightness_csv(records, str(paths[3]), order="ub")
+            assert paths[0].read_bytes() == paths[2].read_bytes()
+            assert paths[1].read_bytes() == paths[3].read_bytes()
 
     @pytest.mark.parametrize(
         "record, header",
