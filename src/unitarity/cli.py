@@ -23,7 +23,6 @@ from .harness import (
     run_table1,
     run_tightness,
     run_witness,
-    sorted_by_du,
 )
 from .io import (
     FormatError,
@@ -32,7 +31,7 @@ from .io import (
     matrix_to_obj,
     write_distribution_csv,
     write_table1_csv,
-    write_tightness_csvs,
+    write_tightness_csv,
 )
 
 
@@ -111,10 +110,10 @@ def _cmd_tightness(args) -> int:
     if args.out:
         root, ext = os.path.splitext(args.out)
         by_ub = f"{root}_by_ub{ext or '.csv'}"
-        write_tightness_csvs(result.records, args.out, by_ub)
+        write_tightness_csv(result.records, args.out, by_ub)
         print(f"wrote {args.out} (sorted by du) and {by_ub} (sorted by ub)")
     else:
-        for r in sorted_by_du(result.records):
+        for r in sorted(result.records, key=lambda r: r.du_value):
             print(f"du={r.du_value:.6f} lb1_err={r.lb1_err:.3e} "
                   f"lb2_err={r.lb2_err:.3e} ub={r.ub:.6f} seed={r.seed}")
     return 0

@@ -15,9 +15,13 @@ the whole stack:
    qubits, one batched SVD otherwise) for every operator, or, for channels
    of more than four operators at n >= 3, from one batched SVD without
    vectors and polar factors for the two witnesses only;
-3. the exact value for channels whose canonical operators are all
-   proportional to unitaries (all singular values of each equal, read from
-   stage 2): max_k |alpha_k|^2 = w_0 / n with the lb1 witness polar(F_0);
+3. the exact value for channels whose leading canonical operator F_0 is
+   proportional to a unitary (all its singular values equal, read from
+   stage 2). The canonical operators are orthogonal with weights
+   w_0 >= w_1 >= ..., so sum_k |<U, F_k>|^2 <= w_0 ||U||_F^2 = n w_0 for
+   every unitary U, and F_0 = alpha U gives |<U, F_0>|^2 = n w_0. So
+   DU = w_0 / n with the lb1 witness polar(F_0), whatever the other
+   operators are;
 4. the exact value for every other qubit channel. A qubit unitary is a
    phase times x0 I + i x.sigma with x a real unit 4-vector, so the
    objective is x^T A x for a real symmetric PSD 4x4 matrix A, and
@@ -209,10 +213,10 @@ _FACTOR_ALL_MAX_OPS = 4
 def _bound_stack(ops: np.ndarray) -> _DuStack:
     """Bounds of a (B, K, n, n) stack of canonical operators.
 
-    Every operator's singular values, from which :func:`_du_stack` also
-    reads its exact mixed-unitary test, and the polar factors of each
-    channel's operator 0 and of its operator of largest nuclear norm, the
-    lb1 and lb2 witnesses. A stack of at most _FACTOR_ALL_MAX_OPS operators
+    Every operator's singular values, from whose leading row
+    :func:`_du_stack` also reads its exact mixed-unitary test, and the polar
+    factors of each channel's operator 0 and of its operator of largest
+    nuclear norm, the lb1 and lb2 witnesses. A stack of at most _FACTOR_ALL_MAX_OPS operators
     per channel takes both for every operator from
     :func:`~unitarity.linalg._svd_polar` (for qubits a closed form, at no
     extra cost per operator); a wider one takes singular values alone from
@@ -511,10 +515,11 @@ def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
     draw).
 
     Every stage runs on the whole stack: canonical form, bounds, the exact
-    mixed-unitary test, the exact qubit kernel for the other qubit
-    channels, and for the other channels of dimension 3 and up the ascent,
-    whose Haar restarts each channel's generator draws after its channel.
-    Each channel's route is decided here, once. Raises ArithmeticError when
+    mixed-unitary test on the leading canonical operator, the exact qubit
+    kernel for the other qubit channels, and for the other channels of
+    dimension 3 and up the ascent, whose Haar restarts each channel's
+    generator draws after its channel. Each channel's route is decided
+    here, once. Raises ArithmeticError when
     a value escapes its bounds by more than BOUND_SLACK, and ValueError
     when ``restarts`` is not an integer of at least 0.
     """
@@ -522,7 +527,7 @@ def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
     n = kraus.shape[-1]
     weights, ops = _canonical_stack(kraus)
     bounds = _bound_stack(ops)
-    exact = _unitary_multiples(bounds.singular_values)[0].all(axis=1)
+    exact = _unitary_multiples(bounds.singular_values[:, 0])[0]
     route = np.where(exact, 0, 1 if n == 2 else 2)  # indices into _ROUTES
 
     # the exact route's value and witness, which the other routes overwrite:
@@ -562,7 +567,7 @@ def du(
     """Best certified DU of a channel, with its bound report.
 
     The DU core on a stack of one: the exact mixed-unitary route when the
-    canonical operators are proportional to orthogonal unitaries, else the
+    leading canonical operator is a unitary multiple, else the
     exact qubit kernel for a qubit channel, else the ascent from the bound
     witnesses and ``restarts`` Haar starts drawn from ``rng``. The value is
     checked against the bounds (lb - 1e-9 <= value <= ub + 1e-9).

@@ -313,14 +313,6 @@ class TightnessResult:
     exact: int = 0
 
 
-def sorted_by_du(records):
-    return tuple(sorted(records, key=lambda r: r.du_value))
-
-
-def sorted_by_ub(records):
-    return tuple(sorted(records, key=lambda r: r.ub))
-
-
 def run_tightness(
     samples: int,
     sys_dim: int = 2,

@@ -31,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from .channels import KrausChannel, standard_channel
-from .harness import CHUNK, Trajectory, sorted_by_du, sorted_by_ub
+from .harness import CHUNK, Trajectory
 
 
 class FormatError(ValueError):
@@ -180,28 +180,22 @@ TIGHTNESS_HEADER = "du,lb1,lb2,lb1_err,lb2_err,ub,seed"
 _TIGHTNESS_ROW = "%.17g," * 6 + "%d\n"
 
 
-def write_tightness_csv(records: Iterable, path: str, order: str = "du") -> None:
-    """Emit tightness records, sorted by 'du' or by 'ub'."""
-    if order not in ("du", "ub"):
-        raise ValueError(f"order must be 'du' or 'ub', got {order!r}")
-    records = sorted_by_du(records) if order == "du" else sorted_by_ub(records)
-    _write_rows(path, TIGHTNESS_HEADER + "\n", _TIGHTNESS_ROW, records)
+def write_tightness_csv(records: Iterable, path: str, by_ub_path: str | None = None) -> None:
+    """Emit tightness records sorted by du to ``path`` and, given
+    ``by_ub_path``, sorted by ub to that path.
 
-
-def write_tightness_csvs(records: Iterable, path: str, by_ub_path: str) -> None:
-    """Emit tightness records sorted by 'du' to ``path`` and by 'ub' to
-    ``by_ub_path``, formatting each record once.
-
-    The files are byte for byte those of :func:`write_tightness_csv` with
-    either order: both sorts are stable, so tied records keep their input
-    order.
+    Each record is formatted once, whichever files are written. Both sorts
+    are stable, so tied records keep their input order.
     """
     records = tuple(records)
-    lines = "".join(_blocks(_TIGHTNESS_ROW, records)).split("\n")[:-1]
-    for out, key in ((path, [r.du_value for r in records]), (by_ub_path, [r.ub for r in records])):
+    lines = "".join(_blocks(_TIGHTNESS_ROW, records)).splitlines(keepends=True)
+    orders = [(path, [r.du_value for r in records])]
+    if by_ub_path is not None:
+        orders.append((by_ub_path, [r.ub for r in records]))
+    for out, key in orders:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(TIGHTNESS_HEADER + "\n")
-            fh.writelines(lines[i] + "\n" for i in np.argsort(key, kind="stable"))
+            fh.writelines([lines[i] for i in np.argsort(key, kind="stable").tolist()])
 
 
 DISTRIBUTION_HEADER = "bin_lo,bin_hi,count"

@@ -78,10 +78,12 @@ class TestExactPath:
             assert abs(res.value - reference_mixed_unitary_du(ch.kraus)) <= 1e-12
             assert abs(process_fidelity(ch, res.witness) - res.value) <= 1e-9
 
-    def test_leading_unitary_multiple_alone_is_not_exact(self):
+    def test_leading_unitary_multiple_alone_is_exact(self):
         # p S rho S† + (1 - p) D(rho) on a qutrit, with S the cyclic shift and
         # D's operators of rank 1 on entries S leaves zero: the leading
-        # canonical operator sqrt(p) S is a unitary multiple, no other one is
+        # canonical operator sqrt(p) S is a unitary multiple, no other one is.
+        # The channel is no mixture of orthogonal unitaries, yet its DU is the
+        # leading weight over n, p, with witness S
         p, q = 0.5, 0.3
         unit = [[np.outer(a, b) for b in np.eye(3)] for a in np.eye(3)]
         shift = unit[0][1] + unit[1][2] + unit[2][0]
@@ -93,7 +95,11 @@ class TestExactPath:
         assert flags.tolist() == reference_unitary_multiples(ops)[0].tolist()
         assert flags.tolist() == [True, False, False, False, False]
         assert as_mixed_unitary(ck) is None
-        assert du(ch, restarts=2)[0].method == "numerical_optimizer"
+        res, _ = du(ch, restarts=2)
+        assert (res.method, res.sweeps_total) == ("exact_mixed_unitary", 0)
+        assert abs(res.value - p) <= 1e-12
+        assert abs(res.value - du_optimize(ch, restarts=64).value) <= 1e-12
+        assert abs(process_fidelity(ch, res.witness) - p) <= 1e-12
 
 
 class TestBounds:
@@ -515,6 +521,7 @@ class TestDispatcher:
         ch = werner_holevo(n)
         want = werner_holevo_du(n)
         res, _ = du(ch)
+        assert res.method == "numerical_optimizer"
         assert abs(res.value - want) <= 1e-12
         _, ops = _canonical_stack(ch.kraus[None])
         no_warm = np.zeros((1, 0, n, n), dtype=np.complex128)
@@ -522,10 +529,31 @@ class TestDispatcher:
             value = _ascend(ops, no_warm, [np.random.default_rng(seed)], 8, False)[0]
             assert abs(value[0] - want) <= 1e-12
 
-    @pytest.mark.parametrize("p", [0.9, 0.5])
+    @pytest.mark.parametrize("p", [0.9, 0.5, 0.0])
     def test_qutrit_weyl_depolarizing_closed_form(self, p):
+        # the identity's weight leads for p > 0, so its canonical operator is
+        # a unitary multiple and the route is exact; at p = 0 the nine weights
+        # are equal, eigh returns a basis whose leading operator is not one,
+        # and the ascent runs
         res, _ = du(qutrit_weyl_depolarizing(p))
         assert abs(res.value - (p + (1 - p) / 9)) <= 1e-12
+        if p > 0:
+            assert (res.method, res.sweeps_total) == ("exact_mixed_unitary", 0)
+        else:
+            assert res.method == "numerical_optimizer"
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_leading_unitary_multiple_is_exact(self, n, q):
+        # {sqrt(q) I, sqrt(1 - q) W_k}: the leading canonical operator is
+        # sqrt(q) I, a unitary multiple, while the W_k have rank 2; DU is
+        # the leading weight over n, q, whatever the other operators are
+        ops = [np.sqrt(q) * np.eye(n)] + [np.sqrt(1 - q) * w for w in werner_holevo(n).kraus]
+        ch = KrausChannel(n, ops)
+        res, _ = du(ch)
+        assert (res.method, res.sweeps_total) == ("exact_mixed_unitary", 0)
+        assert abs(res.value - q) <= 1e-12
+        assert abs(res.value - du_optimize(ch, restarts=64).value) <= 1e-12
 
     def test_ascent_v_type_amplitude_damping_with_a_zero_rate(self):
         res, _ = du(v_type_amplitude_damping([0.0, 0.5]))

@@ -36,8 +36,6 @@ from unitarity.harness import (
     _evaluate_dilation_batch,
     _generators,
     attempt_seed,
-    sorted_by_du,
-    sorted_by_ub,
 )
 from unitarity.io import (
     DISTRIBUTION_HEADER,
@@ -45,7 +43,6 @@ from unitarity.io import (
     TIGHTNESS_HEADER,
     write_distribution_csv,
     write_tightness_csv,
-    write_tightness_csvs,
 )
 
 from helpers import (
@@ -416,13 +413,6 @@ class TestTightness:
         result = run_tightness(64, sys_dim=3, seed=1, restarts=2)
         assert (len(result.records), result.nonconverged) == (64, 64)
 
-    def test_sorting_helpers(self):
-        result = run_tightness(samples=30, seed=3)
-        by_du = sorted_by_du(result.records)
-        assert all(x.du_value <= y.du_value for x, y in zip(by_du, by_du[1:]))
-        by_ub = sorted_by_ub(result.records)
-        assert all(x.ub <= y.ub for x, y in zip(by_ub, by_ub[1:]))
-
     def test_record_seed_regenerates_channel(self):
         result = run_tightness(samples=5, seed=11)
         r = result.records[0]
@@ -678,7 +668,7 @@ class TestCsvEmitters:
     def test_tightness_csv_contract(self, tmp_path):
         result = run_tightness(samples=12, seed=41)
         path = tmp_path / "tight.csv"
-        write_tightness_csv(result.records, str(path), order="du")
+        write_tightness_csv(result.records, str(path))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == TIGHTNESS_HEADER == "du,lb1,lb2,lb1_err,lb2_err,ub,seed"
         assert len(lines) == 13
@@ -692,10 +682,12 @@ class TestCsvEmitters:
         ].du_value
 
     @pytest.mark.parametrize("chunk", [3, harness.CHUNK])
-    @pytest.mark.parametrize("order, key", [("du", "du_value"), ("ub", "ub")])
-    def test_tightness_csv_text(self, tmp_path, monkeypatch, chunk, order, key):
-        # rows are written a block at a time; the text is that of one
-        # f-string per row, whatever the block size
+    @pytest.mark.parametrize("name, key", [("du", "du_value"), ("ub", "ub")])
+    def test_tightness_csv_text(self, tmp_path, monkeypatch, chunk, name, key):
+        # one call writes the du file and the ub file, rows a block at a
+        # time; each file's text is that of one f-string per row in its own
+        # order, whatever the block size, and records tied in du or in ub
+        # (the last two) keep their input order
         monkeypatch.setattr("unitarity.io.CHUNK", chunk)
         records = [
             harness.TightnessRecord(0.1, 1 / 3, 5e-324, -0.0, 1e16, 0.7, 0),
@@ -705,22 +697,25 @@ class TestCsvEmitters:
             harness.TightnessRecord(-0.0, 5e-324, 0.1, -0.1, 1 / 3, 1 / 3, 2**63),
             harness.TightnessRecord(5e-324, 1e16, 0.2, -7.0, -0.0, 0.5, 1),
             harness.TightnessRecord(0.5, 0.5, 0.5, -0.5, 0.5, 0.6, 99),
+            harness.TightnessRecord(0.5, 0.4, 0.5, -0.1, 0.0, 0.7, 5),
+            harness.TightnessRecord(0.0, 0.0, 0.0, 0.0, 0.0, 0.1, 4),
         ]
-        path = tmp_path / "tight.csv"
-        write_tightness_csv(records, str(path), order=order)
+        paths = {"du": tmp_path / "tight.csv", "ub": tmp_path / "tight_by_ub.csv"}
+        # a generator: the writer reads its records once for both files
+        write_tightness_csv(iter(records), str(paths["du"]), str(paths["ub"]))
         expected = "".join(
             f"{r.du_value:.17g},{r.lb1:.17g},{r.lb2:.17g},"
             f"{r.lb1_err:.17g},{r.lb2_err:.17g},{r.ub:.17g},{r.seed}\n"
             for r in sorted(records, key=lambda r: getattr(r, key))
         )
-        assert path.read_text() == TIGHTNESS_HEADER + "\n" + expected
-        write_tightness_csv([], str(path), order=order)
-        assert path.read_text() == TIGHTNESS_HEADER + "\n"
+        assert paths[name].read_text() == TIGHTNESS_HEADER + "\n" + expected
+        write_tightness_csv([], str(paths["du"]), str(paths["ub"]))
+        assert paths[name].read_text() == TIGHTNESS_HEADER + "\n"
 
     @pytest.mark.parametrize("chunk", [3, harness.CHUNK])
-    def test_tightness_csvs_are_the_two_orders(self, tmp_path, monkeypatch, chunk):
-        # one formatting pass writes the bytes of both single-order files;
-        # records tied in du or in ub keep their input order in each
+    def test_tightness_du_file_is_the_same_alone(self, tmp_path, monkeypatch, chunk):
+        # writing the ub file too leaves the du file's bytes as they are
+        # when it is written alone, ties included
         monkeypatch.setattr("unitarity.io.CHUNK", chunk)
         ties = [
             harness.TightnessRecord(0.5, 0.1, 0.2, -0.4, -0.3, 0.7, 5),
@@ -730,12 +725,10 @@ class TestCsvEmitters:
             harness.TightnessRecord(0.0, 0.0, 0.0, 0.0, 0.0, 1e16, 3),
         ]
         for records in (ties, run_tightness(samples=40, env_dim=4, seed=8).records, []):
-            paths = [tmp_path / f"{name}.csv" for name in ("du", "ub", "one_du", "one_ub")]
-            write_tightness_csvs(records, str(paths[0]), str(paths[1]))
-            write_tightness_csv(records, str(paths[2]), order="du")
-            write_tightness_csv(records, str(paths[3]), order="ub")
-            assert paths[0].read_bytes() == paths[2].read_bytes()
-            assert paths[1].read_bytes() == paths[3].read_bytes()
+            both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+            write_tightness_csv(records, str(both), str(tmp_path / "both_by_ub.csv"))
+            write_tightness_csv(records, str(alone))
+            assert both.read_bytes() == alone.read_bytes()
 
     @pytest.mark.parametrize(
         "record, header",
