@@ -83,6 +83,10 @@ class Table1Report:
     max_abs_error: float
 
     def family_max_error(self, family: str) -> float:
+        """Largest |du - closed form| over ``family``'s rows; ValueError
+        unless ``family`` is one of CHANNEL_FAMILIES."""
+        if family not in CHANNEL_FAMILIES:
+            raise ValueError(f"unknown channel family {family!r}; expected one of {CHANNEL_FAMILIES}")
         return max(r.error for r in self.rows if r.family == family)
 
 

@@ -280,7 +280,7 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("start, after_one_sweep, retires", [
         (0.05, (2e-3, 0.1), True),
-        (0.6, (0.2, 1.0), False),
+        (1.2, (0.6, 1.0), False),
     ], ids=["inside", "outside"])
     def test_start_retires_once_within_the_join_radius(self, start, after_one_sweep, retires,
                                                        monkeypatch):
@@ -288,7 +288,7 @@ class TestOptimizer:
         # ahead of every other start. A second warm start, at Frobenius
         # distance start * ||U||_F from I up to a phase, retires after one
         # sweep exactly when that sweep leaves it within the join radius
-        # sqrt(2 DUPLICATE_TOL) ||U||_F (0.14; 0.0014 at DUPLICATE_TOL = 1e-6).
+        # sqrt(2 DUPLICATE_TOL) ||U||_F (0.45; 0.0014 at DUPLICATE_TOL = 1e-6).
         n = 3
         _, ops = _canonical_stack(v_type_amplitude_damping([0.2, 0.2]).kraus[None])
         w = self._near_identity(n, start * np.sqrt(n), np.random.default_rng(0))
@@ -310,13 +310,14 @@ class TestOptimizer:
         monkeypatch.setattr(DU_MODULE, "DUPLICATE_TOL", 1e-6)
         assert ascend()[1] > 2
 
-    @pytest.mark.parametrize("n", [3, 4, 8])
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
     def test_join_radius_loses_no_value(self, n, monkeypatch):
         # a start retires in another's basin, not at its fixed point; with
         # DUPLICATE_TOL = 0 no two distinct starts join, and every start
         # climbs to its own fixed point
+        envs = {2, 3, n, 2 * n} if n <= 5 else {2, 3, n}
         channels = [random_channel(n, env, np.random.default_rng([18, n, env, i]))
-                    for env in sorted({2, 3, n}) for i in range(2)]
+                    for env in sorted(envs) for i in range(8)]
         joined = [du(ch)[0] for ch in channels]
         monkeypatch.setattr(DU_MODULE, "DUPLICATE_TOL", 0.0)
         alone = [du(ch)[0] for ch in channels]

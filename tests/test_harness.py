@@ -220,6 +220,10 @@ class TestTable1:
         assert CHANNEL_FAMILIES is STANDARD_KINDS
         assert [row.family for row in run_table1(grid=1).rows] == list(STANDARD_KINDS)
 
+    def test_family_max_error_names_an_unknown_family(self):
+        with pytest.raises(ValueError, match=r"unknown channel family 'nope'.*amplitude_damping"):
+            run_table1(grid=2).family_max_error("nope")
+
     def test_methods_per_family(self):
         report = run_table1(grid=5, restarts=4)
         for row in report.rows:
