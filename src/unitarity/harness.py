@@ -516,12 +516,31 @@ class WitnessIncrease:
 class WitnessReport:
     """DU sequence along a trajectory with flagged increases.
 
-    A DU increase beyond the threshold is evidence of non-Markovian dynamics
-    for qubits only, where no CPTP step is known to raise DU. At n >= 3 it
-    certifies nothing: one more step of the n = 3 Werner-Holevo channel
-    raises DU from 2/9 to 1/3. No increase is inconclusive, never a
-    Markovianity certificate. ``dim`` is the channels' dimension, and
-    ``verdict`` states what a flagged increase shows at it.
+    For qubits a DU increase beyond the threshold is a certificate: no CPTP
+    map L takes Phi(t) to Phi(t'), so the trajectory is not CP-divisible,
+    which is non-Markovian in the sense of Rivas, Huelga & Plenio (PRL 105,
+    050403, 2010). For qubit CPTP maps DU(L o P) <= DU(P) and
+    DU(P o L) <= DU(P):
+
+    - On the Bloch ball a qubit channel is r -> T r + t with T real 3x3,
+      and its process fidelity with a unitary of rotation R is
+      (1 + tr(R^T T)) / 4, so DU = (1 + max over SO(3) of tr(R^T T)) / 4.
+    - T blocks compose: L o P has T_L T_P, and P o L has T_P T_L.
+    - theta(rho) = sigma_y rho^T sigma_y maps r to -r, and theta o L o theta
+      is CP (Kraus operators sigma_y conj(K) sigma_y) with T block T_L and
+      shift -t_L. So the mean of L and theta o L o theta is a unital qubit
+      channel with T block T_L, and unital qubit channels are mixtures of
+      unitaries (Landau & Streater, Linear Algebra Appl. 193, 1993; Ruskai,
+      Szarek & Werner, Linear Algebra Appl. 347, 159, 2002):
+      T_L = sum_i p_i R_i with R_i in SO(3).
+    - So max_R tr(R^T T_L T_P) <= sum_i p_i max_R tr(R^T R_i T_P)
+      = max_R tr(R^T T_P), and the other order is the same.
+
+    At n >= 3 an increase certifies nothing: one more step of the n = 3
+    Werner-Holevo channel raises DU from 2/9 to 1/3. No increase is
+    inconclusive, never a Markovianity certificate. ``dim`` is the
+    channels' dimension, and ``verdict`` states what a flagged increase
+    shows at it.
     """
 
     times: tuple[float, ...]

@@ -44,6 +44,23 @@ def qubit_du_oracle(kraus_ops):
     return float(vals[-1]) / 4.0, witness
 
 
+def bloch_du(kraus_ops) -> float:
+    """DU of a qubit channel from its Bloch-ball form r -> T r + t.
+
+    T[i, j] = tr(sigma_i Phi(sigma_j)) / 2 is real 3x3. A unitary acts as a
+    rotation R, and the process fidelity with it is (1 + tr(R^T T)) / 4, in
+    which t does not enter. The maximum of tr(R^T T) over SO(3) is
+    s1 + s2 + sign(det T) s3, with s1 >= s2 >= s3 the singular values of T,
+    so DU = (1 + s1 + s2 + sign(det T) s3) / 4. Shares nothing with the
+    4x4 eigenproblem of :func:`qubit_du_oracle` or of the library.
+    """
+    sigmas = PAULIS[1:]
+    t = np.array([[sum(np.trace(si @ k @ sj @ k.conj().T) for k in kraus_ops).real / 2
+                   for sj in sigmas] for si in sigmas])
+    s = np.linalg.svd(t, compute_uv=False)
+    return float(1.0 + s[0] + s[1] + np.sign(np.linalg.det(t)) * s[2]) / 4.0
+
+
 def reference_mixed_unitary_du(kraus) -> float:
     """Exact DU of a channel whose canonical operators are multiples of
     orthogonal unitaries, F_k = alpha_k U_k: max_k |alpha_k|^2.

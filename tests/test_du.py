@@ -39,6 +39,7 @@ from unitarity.linalg import _svd_polar
 
 from helpers import (
     DU_MODULE,
+    bloch_du,
     qubit_du_oracle,
     random_mixed_unitary_channel,
     reference_bounds,
@@ -459,14 +460,21 @@ class TestDispatcher:
             assert abs(base.value - pre.value) <= 1e-8
             assert abs(base.value - post.value) <= 1e-8
 
-    def test_monotone_under_post_composition(self):
+    def test_qubit_du_never_rises_under_a_cptp_step(self):
+        # DU(L o P) <= DU(P) and DU(P o L) <= DU(P) for qubit channels (proof
+        # in harness.WitnessReport), on the exact routes, which take no Haar
+        # starts
         rng = np.random.default_rng(13)
-        for _ in range(30):
-            e = random_channel(2, 2, rng)
-            f = random_channel(2, 2, rng)
-            du_e, _ = du(e, restarts=4, rng=rng)
-            du_fe, _ = du(compose(f, e), restarts=4, rng=rng)
-            assert du_fe.value <= du_e.value + 1e-8
+        for env_p in range(1, 5):
+            for env_l in range(1, 5):
+                for _ in range(8):
+                    p = random_channel(2, env_p, rng)
+                    lam = random_channel(2, env_l, rng)
+                    base, _ = du(p)
+                    for step in (compose(lam, p), compose(p, lam)):
+                        res, _ = du(step)
+                        assert res.method != "numerical_optimizer"
+                        assert res.value <= base.value + 1e-12
 
     def test_reports_nonconvergence(self, monkeypatch):
         # with a one-sweep cap no start of a generic qutrit ascent converges,
@@ -556,6 +564,17 @@ class TestDispatcher:
         assert abs(res.value - q) <= 1e-12
         assert abs(res.value - du_optimize(ch, restarts=64).value) <= 1e-12
 
+    def test_default_restarts_reach_the_sweep_floor(self):
+        # Of the 3248 random_channel(n, env, default_rng([s, n, env, i]))
+        # draws (n = 3..8) that sized DEFAULT_RESTARTS, this is one of the two
+        # on which 12 Haar starts fall short of 32: a default below 16 must
+        # re-run that sweep
+        ch = random_channel(8, 2, np.random.default_rng([7, 8, 2, 19]))
+        best = du_optimize(ch, restarts=64).value
+        assert abs(best - 0.48772464632892) <= 1e-9
+        assert abs(du(ch)[0].value - best) <= 1e-9
+        assert abs(du(ch, restarts=12)[0].value - 0.48740748743105) <= 1e-9
+
     def test_ascent_v_type_amplitude_damping_with_a_zero_rate(self):
         res, _ = du(v_type_amplitude_damping([0.0, 0.5]))
         assert res.method == "numerical_optimizer"
@@ -567,8 +586,10 @@ class TestDispatcher:
         rng = np.random.default_rng(14)
         for kind in ("depolarizing", "bit_flip", "phase_flip", "amplitude_damping"):
             for p in rng.uniform(0.0, 1.0, 12):
-                res, _ = du(standard_channel(kind, float(p)), restarts=4)
+                ch = standard_channel(kind, float(p))
+                res, _ = du(ch, restarts=4)
                 assert abs(res.value - closed_form_du(kind, float(p))) <= 1e-9
+                assert abs(res.value - bloch_du(ch.kraus)) <= 1e-12
 
 
 class TestPauliChannelEdge:
@@ -622,7 +643,8 @@ DEPHASING_PROJECTORS = KrausChannel(
 
 class TestQubitExact:
     """The exact qubit kernel against the independent 4x4 oracle and the
-    ascent, which stay two separate routes."""
+    ascent, which stay two separate routes, and du() against the Bloch-ball
+    formula, which shares no step with either."""
 
     @staticmethod
     def check(ch, rng):
@@ -633,6 +655,7 @@ class TestQubitExact:
         rep = du_bounds(canonicalize(ch))
         assert abs(value - oracle) <= 1e-9
         assert abs(value - opt.value) <= 1e-9
+        assert abs(du(ch)[0].value - bloch_du(ch.kraus)) <= 1e-12
         assert np.linalg.norm(w.conj().T @ w - np.eye(2)) <= 1e-9
         assert abs(process_fidelity(ch, w) - value) <= 1e-9
         assert max(rep.lb1, rep.lb2) - 1e-9 <= value <= rep.ub + 1e-9
