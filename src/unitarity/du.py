@@ -51,12 +51,13 @@ the whole stack:
 
 The stages fill one record, :class:`_DuStack`: stage 2 its bound fields,
 then :func:`_du_stack` each channel's route, decided once, and its DU
-fields. Every consumer reads that record. The public functions are batches
-of one: :func:`du` is the whole pipeline, :func:`du_bounds` stage 2 and
-:func:`du_optimize` stages 1, 2 and 5 (the reference the exact routes are
-tested against). The drivers of :mod:`unitarity.harness` feed the pipeline
-whole stacks: the bulk samplers a chunk at a time, the closed-form table
-and the witness one stack per Kraus-stack shape.
+fields, checked against its bounds. Every consumer reads that record. The
+public functions are batches of one: :func:`du` is the whole pipeline,
+:func:`du_bounds` stage 2 and :func:`du_optimize` the pipeline with stage 5
+for every channel (the reference the exact routes are tested against). The
+drivers of :mod:`unitarity.harness` feed the pipeline whole stacks: the
+bulk samplers a chunk at a time, the closed-form table and the witness one
+stack per Kraus-stack shape.
 """
 
 from __future__ import annotations
@@ -173,6 +174,7 @@ class _DuStack(NamedTuple):
     converged: np.ndarray | None = None
     sweeps_total: np.ndarray | None = None
     route: np.ndarray | None = None  # index into _ROUTES
+    objective_traces: tuple | None = None  # on request; an entry is None off the ascent
 
 
 # The route labels, in the order the DU core tries them.
@@ -197,7 +199,7 @@ def _bound_report(s: _DuStack) -> BoundReport:
     )
 
 
-def _du_result(s: _DuStack, objective_trace: tuple[float, ...] | None = None) -> DuResult:
+def _du_result(s: _DuStack) -> DuResult:
     """The DU result of the only channel of a record of one."""
     witness = s.witness[0]
     witness.flags.writeable = False
@@ -207,7 +209,7 @@ def _du_result(s: _DuStack, objective_trace: tuple[float, ...] | None = None) ->
         witness=witness,
         iterations=int(s.iterations[0]),
         converged=bool(s.converged[0]),
-        objective_trace=objective_trace,
+        objective_trace=None if s.objective_traces is None else s.objective_traces[0],
         sweeps_total=int(s.sweeps_total[0]),
     )
 
@@ -500,26 +502,18 @@ def du_optimize(
     retires early once it joins a better start (see :func:`_ascend`).
     ``converged`` reports the best run's own flag.
     With ``trace=True`` the best run's objective sequence is attached.
-    Takes the ascent for every channel, so it is the reference for the
-    exact routes.
+    The DU core on a stack of one with the channel routed to the ascent,
+    so it is the reference for the exact routes; as in :func:`du`, a value
+    that escapes the bounds by more than BOUND_SLACK raises ArithmeticError.
 
     ``rng`` defaults to a fixed-seed generator so repeated calls are
     deterministic.
     """
-    kraus, rngs = _stack_of_one(ch, rng)
-    _require_at_least("restarts", restarts, 0)
-    _, ops = _canonical_stack(kraus)
-    bounds = _bound_stack(ops)
-    value, witness, sweeps, converged, traces, sweeps_total = _ascend(
-        ops, bounds.witnesses, rngs, restarts, trace
-    )
-    s = bounds._replace(du=value, witness=witness, iterations=sweeps, converged=converged,
-                        sweeps_total=sweeps_total,
-                        route=np.full(1, _ROUTES.index(OPTIMIZER_METHOD)))
-    return _du_result(s, tuple(traces[0]) if trace else None)
+    return _du_result(_du_stack(*_stack_of_one(ch, rng), restarts, ascend_all=True, trace=trace))
 
 
-def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
+def _du_stack(kraus: np.ndarray, rngs, restarts: int, *, ascend_all: bool = False,
+              trace: bool = False) -> _DuStack:
     """DU with its bounds for a (B, K, n, n) stack of trace-preserving
     Kraus sets, one generator per channel (None for qubits, which never
     draw).
@@ -529,16 +523,20 @@ def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
     kernel for the other qubit channels, and for the other channels of
     dimension 3 and up the ascent, whose Haar restarts each channel's
     generator draws after its channel. Each channel's route is decided
-    here, once. Raises ArithmeticError when
-    a value escapes its bounds by more than BOUND_SLACK, and ValueError
-    when ``restarts`` is not an integer of at least 0.
+    here, once, or with ``ascend_all`` the ascent for all; ``trace`` keeps
+    each ascent winner's objective trace. Raises ArithmeticError when a
+    value escapes its bounds by more than BOUND_SLACK, and ValueError when
+    ``restarts`` is not an integer of at least 0.
     """
     _require_at_least("restarts", restarts, 0)
     n = kraus.shape[-1]
     weights, ops = _canonical_stack(kraus)
     bounds = _bound_stack(ops)
-    exact = _unitary_multiples(bounds.singular_values[:, 0])[0]
-    route = np.where(exact, 0, 1 if n == 2 else 2)  # indices into _ROUTES
+    if ascend_all:
+        route = np.full(len(ops), 2)  # indices into _ROUTES
+    else:
+        exact = _unitary_multiples(bounds.singular_values[:, 0])[0]
+        route = np.where(exact, 0, 1 if n == 2 else 2)
 
     # the exact route's value and witness, which the other routes overwrite:
     # the leading operator has the largest weight, |alpha_0|^2 = weight / n,
@@ -549,14 +547,17 @@ def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
     converged = np.ones(len(ops), dtype=bool)
     sweeps_total = np.zeros(len(ops), dtype=int)
 
-    todo = np.flatnonzero(route)
-    if todo.size and n == 2:
-        value[todo], witness[todo] = _qubit_du_stack(ops[todo])
-    elif todo.size:
-        (value[todo], witness[todo], iterations[todo], converged[todo], _,
-         sweeps_total[todo]) = _ascend(
-            ops[todo], bounds.witnesses[todo], [rngs[b] for b in todo], restarts, False
+    traces = [None] * len(ops)
+    qubit, ascent = np.flatnonzero(route == 1), np.flatnonzero(route == 2)
+    if qubit.size:
+        value[qubit], witness[qubit] = _qubit_du_stack(ops[qubit])
+    if ascent.size:
+        (value[ascent], witness[ascent], iterations[ascent], converged[ascent], traced,
+         sweeps_total[ascent]) = _ascend(
+            ops[ascent], bounds.witnesses[ascent], [rngs[b] for b in ascent], restarts, trace
         )
+        for b, t in zip(ascent, traced or ()):
+            traces[b] = tuple(t)
 
     lb = np.maximum(bounds.lb1, bounds.lb2)
     escaped = np.flatnonzero((value < lb - BOUND_SLACK) | (value > bounds.ub + BOUND_SLACK))
@@ -566,7 +567,8 @@ def _du_stack(kraus: np.ndarray, rngs, restarts: int) -> _DuStack:
             f"DU value {value[i]!r} escapes bounds [{lb[i]!r}, {bounds.ub[i]!r}]"
         )
     return bounds._replace(du=value, witness=witness, iterations=iterations,
-                           converged=converged, sweeps_total=sweeps_total, route=route)
+                           converged=converged, sweeps_total=sweeps_total, route=route,
+                           objective_traces=tuple(traces) if trace else None)
 
 
 def du(

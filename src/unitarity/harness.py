@@ -9,8 +9,9 @@ stack at a time through ``_du_stack``, never one ``du()`` call per channel.
 The closed-form table and the witness take given Kraus sets, as arrays.
 They check every set for trace preservation, then run one stack per array
 shape (n_ops, dim, dim), in which each channel has the generator
-``np.random.default_rng(0)`` that ``du(ch)`` builds when given none, so
-each value and ``method`` label is ``du(ch, restarts)``'s bit for bit.
+``np.random.default_rng(0)`` that ``du(ch)`` builds when given none, and
+both run at ``du``'s default restarts, so each value and ``method`` label
+is ``du(ch)``'s bit for bit.
 
 Both randomized studies sample through one generator, ``_sample``, which
 gives attempt k under a study's spawn key the integer seed
@@ -51,7 +52,7 @@ from .channels import (
     _trace_residuals,
     closed_form_du,
 )
-from .du import _ROUTES, _du_stack, _DuStack
+from .du import _ROUTES, DEFAULT_RESTARTS, _du_stack, _DuStack
 from .linalg import _require_at_least
 
 CHANNEL_FAMILIES = STANDARD_KINDS
@@ -60,10 +61,9 @@ CHANNEL_FAMILIES = STANDARD_KINDS
 # depends on it, and it bounds the memory one batch's stacks take.
 CHUNK = 512
 
-# Constants, not options, as no caller sets another value: the width of the
-# stratified tightness study's DU bins, and the restarts of each witness DU.
+# A constant, not an option, as no caller sets another value: the width of
+# the stratified tightness study's DU bins.
 BIN_WIDTH = 0.05
-WITNESS_RESTARTS = 8
 
 
 class Table1Row(NamedTuple):
@@ -90,13 +90,13 @@ class Table1Report:
         return max(r.error for r in self.rows if r.family == family)
 
 
-def run_table1(grid: int = 51, restarts: int = 8) -> Table1Report:
+def run_table1(grid: int = 51, restarts: int = DEFAULT_RESTARTS) -> Table1Report:
     """DU vs closed form for every standard family over a grid of
     ``grid`` >= 1 points, each row's value and method those of
-    ``du(standard_channel(family, p), restarts)``. Every family is a qubit
-    channel, which takes an exact route and never ascends, so ``restarts``
-    changes no value or method; it is still validated (an integer >= 0),
-    and kept because perfbench reads its default from the signature."""
+    ``du(standard_channel(family, p))``. Every family is a qubit channel,
+    which takes an exact route and never ascends, so ``restarts`` changes
+    no value or method; it is still validated (an integer >= 0), and kept
+    because perfbench reads its default, du's, from the signature."""
     _require_at_least("grid", grid, 1)
     grid_points = np.linspace(0.0, 1.0, grid).tolist()
     points = [(family, p) for family in CHANNEL_FAMILIES for p in grid_points]
@@ -572,26 +572,18 @@ class WitnessReport:
 
 def run_witness(traj: Trajectory, threshold: float = 1e-6) -> WitnessReport:
     """Compute DU along the trajectory and flag increases above threshold,
-    which must be a finite number of at least 0."""
+    which must be a finite number of at least 0; each value is ``du(ch)``'s."""
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
-    values = _du_channels([ch.kraus for ch in traj.channels], WITNESS_RESTARTS)[0]
-    increases = []
-    for i in range(len(values) - 1):
-        delta = values[i + 1] - values[i]
-        if delta > threshold:
-            increases.append(
-                WitnessIncrease(
-                    index=i,
-                    t_from=traj.times[i],
-                    t_to=traj.times[i + 1],
-                    delta=float(delta),
-                )
-            )
+    values = _du_channels([ch.kraus for ch in traj.channels], DEFAULT_RESTARTS)[0]
+    increases = tuple(
+        WitnessIncrease(index=i, t_from=traj.times[i], t_to=traj.times[i + 1], delta=delta)
+        for i, delta in enumerate(np.diff(values).tolist()) if delta > threshold
+    )
     return WitnessReport(
         times=traj.times,
         du_values=values,
-        increases=tuple(increases),
+        increases=increases,
         threshold=threshold,
         dim=traj.channels[0].dim,
     )

@@ -120,8 +120,8 @@ def qutrit_weyl_depolarizing(p: float) -> KrausChannel:
     return convex_unitary_mixture(weyl, probs)
 
 
-def reference_table1_rows(grid: int, restarts: int = 8) -> tuple:
-    """``run_table1(grid, restarts).rows`` by one ``du()`` per grid point, the
+def reference_table1_rows(grid: int) -> tuple:
+    """``run_table1(grid).rows`` by one ``du()`` per grid point, the
     per-channel loop the grouped driver must reproduce bit for bit."""
     from unitarity import closed_form_du, du, standard_channel
     from unitarity.harness import CHANNEL_FAMILIES, Table1Row
@@ -129,7 +129,7 @@ def reference_table1_rows(grid: int, restarts: int = 8) -> tuple:
     rows = []
     for family in CHANNEL_FAMILIES:
         for p in np.linspace(0.0, 1.0, grid):
-            res, _ = du(standard_channel(family, float(p)), restarts=restarts)
+            res, _ = du(standard_channel(family, float(p)))
             ref = closed_form_du(family, float(p))
             error = abs(res.value - ref)
             rows.append(Table1Row(family, float(p), res.value, ref, error, res.method))
@@ -137,11 +137,10 @@ def reference_table1_rows(grid: int, restarts: int = 8) -> tuple:
 
 
 def reference_witness_values(traj) -> np.ndarray:
-    """``run_witness(traj).du_values`` by one ``du()`` per channel."""
+    """``run_witness(traj).du_values`` by one ``du()`` per channel, at its defaults."""
     from unitarity import du
-    from unitarity.harness import WITNESS_RESTARTS
 
-    return np.array([du(ch, restarts=WITNESS_RESTARTS)[0].value for ch in traj.channels])
+    return np.array([du(ch)[0].value for ch in traj.channels])
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

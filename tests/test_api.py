@@ -144,7 +144,7 @@ def test_optional_parameter_inventory():
 )
 def test_deleted_keyword_is_a_type_error(call):
     # the environment state, the stratification bin width and the witness's
-    # restarts are fixed: |0>, harness.BIN_WIDTH and harness.WITNESS_RESTARTS
+    # restarts are fixed: |0>, harness.BIN_WIDTH and du.DEFAULT_RESTARTS
     with pytest.raises(TypeError, match="unexpected keyword argument"):
         call()
 

@@ -488,7 +488,8 @@ class TestDispatcher:
         assert not du_optimize(ch, restarts=2).converged
 
     # du() values recorded while every start still ascended to its own
-    # convergence, before starts retired on joining a better start
+    # convergence, before starts retired on joining a better start; both
+    # entry points take the ascent on these channels
     PINNED = {
         (3, 2): 0.7158814374521527,
         (3, 3): 0.46801446222653337,
@@ -501,6 +502,12 @@ class TestDispatcher:
     @pytest.mark.parametrize("n, env", sorted(PINNED))
     def test_pinned_ascent_values(self, n, env):
         res, _ = du(random_channel(n, env, np.random.default_rng([12, n, env])))
+        assert (res.method, res.converged) == ("numerical_optimizer", True)
+        assert abs(res.value - self.PINNED[n, env]) <= 1e-11
+
+    @pytest.mark.parametrize("n, env", sorted(PINNED))
+    def test_pinned_ascent_values_du_optimize(self, n, env):
+        res = du_optimize(random_channel(n, env, np.random.default_rng([12, n, env])))
         assert (res.method, res.converged) == ("numerical_optimizer", True)
         assert abs(res.value - self.PINNED[n, env]) <= 1e-11
 
@@ -590,6 +597,33 @@ class TestDispatcher:
                 res, _ = du(ch, restarts=4)
                 assert abs(res.value - closed_form_du(kind, float(p))) <= 1e-9
                 assert abs(res.value - bloch_du(ch.kraus)) <= 1e-12
+
+
+class TestArithmeticGuards:
+    """The core's consistency checks raise ArithmeticError on a broken stage."""
+
+    @pytest.mark.parametrize("evaluate", [du, du_optimize])
+    def test_value_above_upper_bound_raises(self, evaluate, monkeypatch):
+        # an upper bound of 0 lies below every DU, 1/n^2 at least
+        def lowered(ops):
+            s = _bound_stack(ops)
+            return s._replace(ub=np.zeros_like(s.ub))
+
+        monkeypatch.setattr(DU_MODULE, "_bound_stack", lowered)
+        with pytest.raises(ArithmeticError, match="escapes bounds"):
+            evaluate(random_channel(3, 2, np.random.default_rng(5)))
+
+    def test_ascent_step_that_lowers_the_objective_raises(self, monkeypatch):
+        # On the qubit identity channel G is a multiple of I, so every polar
+        # factor is a phase times I, which the patched kernel turns into a
+        # traceless diag(1, -1) of objective 0, below any Haar start's |tr U|^2.
+        def worse(a):
+            s, w = _svd_polar(a)
+            return s, w * [1, -1]
+
+        monkeypatch.setattr(DU_MODULE, "_svd_polar", worse)
+        with pytest.raises(ArithmeticError, match="decreased the objective"):
+            du_optimize(identity_channel(2))
 
 
 class TestPauliChannelEdge:
@@ -722,9 +756,10 @@ class TestCoreProperties:
         # with mixed_rank, channels of ranks 1..d share one stack of d operators each
         stack_of = _mixed_rank_stack if mixed_rank else _dilation_stack
         kraus = stack_of(n, d, seed, count)
-        stack = _core(kraus, seed, restarts=2)
+        rngs = [np.random.default_rng([seed, i]) for i in range(count)]
+        stack = _du_stack(kraus, rngs, 2, trace=True)
         for i in range(count):
-            alone = _du_stack(kraus[i : i + 1], [np.random.default_rng([seed, i])], 2)
+            alone = _du_stack(kraus[i : i + 1], [np.random.default_rng([seed, i])], 2, trace=True)
             for field in _DuStack._fields:
                 assert np.array_equal(getattr(alone, field)[0], getattr(stack, field)[i]), field
 

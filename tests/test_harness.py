@@ -539,6 +539,20 @@ class TestDistribution:
         assert hist.std_error == values.std(ddof=1) / math.sqrt(n)
         assert run_distribution(1, env_dims=[4], seed=31)[0].std_error == 0.0
 
+    @pytest.mark.parametrize("du_column, field, shift", [("dispatcher", "du", 1.0),
+                                                         ("lb1", "lb1", -1.0)])
+    def test_value_outside_the_du_range_raises(self, du_column, field, shift, monkeypatch):
+        # a binned column above 1 or below 1/n^2 is a broken core, not a sample
+        core = harness._du_stack
+
+        def shifted(*args):
+            s = core(*args)
+            return s._replace(**{field: getattr(s, field) + shift})
+
+        monkeypatch.setattr(harness, "_du_stack", shifted)
+        with pytest.raises(ArithmeticError, match=re.escape("escaped the [1/n^2, 1] range")):
+            run_distribution(8, env_dims=[2], seed=3, du_column=du_column)
+
     def test_reproducible(self, monkeypatch):
         monkeypatch.setattr(harness, "CHUNK", 17)
         a = run_distribution(samples=100, env_dims=[2], seed=23)[0]
@@ -632,6 +646,16 @@ class TestWitness:
         assert low.n_ops == 4
         traj = Trajectory(times=(0.0, 1.0, 2.0, 3.0), channels=chans)
         assert np.array_equal(run_witness(traj).du_values, reference_witness_values(traj))
+
+    def test_value_is_du_at_its_defaults(self):
+        # an n = 8 channel on which fewer Haar starts than du's default miss
+        # the maximum, which du(ch) finds at 0.487724646329
+        ch = random_channel(8, 2, np.random.default_rng([7, 8, 2, 19]))
+        value = du(ch)[0].value
+        assert abs(value - 0.487724646329) <= 1e-9
+        report = run_witness(Trajectory((0.0, 1.0), (ch, ch)))
+        assert np.array_equal(report.du_values, [value, value])
+        assert not report.non_markovian
 
     def test_single_kraus_point_matches_per_channel_du(self):
         # amplitude damping at gamma = 0 has one Kraus operator, the others two
