@@ -12,9 +12,7 @@ the whole stack:
 2. certified lower/upper bounds from the singular values of the canonical
    operators and the polar-decomposition nearest unitaries of two of them,
    from the kernel :func:`~unitarity.linalg._svd_polar` (closed form for
-   qubits, one batched SVD otherwise) for every operator, or, for channels
-   of more than four operators at n >= 3, from one batched SVD without
-   vectors and polar factors for the two witnesses only;
+   qubits, one batched SVD otherwise) over every operator;
 3. the exact value for channels whose leading canonical operator F_0 is
    proportional to a unitary (all its singular values equal, read from
    stage 2). The canonical operators are orthogonal with weights
@@ -214,34 +212,22 @@ def _du_result(s: _DuStack) -> DuResult:
     )
 
 
-# The bound stage factors every operator when a channel has at most this
-# many, as every qubit channel's canonical set does: an SVD without vectors
-# then saves less than the witnesses' own factors cost (measured at
-# n = 3..16 on stacks of one).
-_FACTOR_ALL_MAX_OPS = 4
-
-
 def _bound_stack(ops: np.ndarray) -> _DuStack:
     """Bounds of a (B, K, n, n) stack of canonical operators.
 
-    Every operator's singular values, from whose leading row
-    :func:`_du_stack` also reads its exact mixed-unitary test, and the polar
-    factors of each channel's operator 0 and of its operator of largest
-    nuclear norm, the lb1 and lb2 witnesses. A stack of at most _FACTOR_ALL_MAX_OPS operators
-    per channel takes both for every operator from
-    :func:`~unitarity.linalg._svd_polar` (for qubits a closed form, at no
-    extra cost per operator); a wider one takes singular values alone from
-    one batched SVD and polar factors for the two witnesses only.
+    Every operator's singular values and polar factor, from one
+    :func:`~unitarity.linalg._svd_polar` call (for qubits a closed form):
+    :func:`_du_stack` also reads its exact mixed-unitary test from the
+    leading row of singular values, and the polar factors of each channel's
+    operator 0 and of its operator of largest nuclear norm are the lb1 and
+    lb2 witnesses.
     """
     n = ops.shape[-1]
-    if ops.shape[1] <= _FACTOR_ALL_MAX_OPS:
-        svals, polars = _svd_polar(ops)
-    else:
-        svals, polars = np.linalg.svd(ops, compute_uv=False), None
+    svals, polars = _svd_polar(ops)
     nuc = svals.sum(axis=-1)
     # per channel, operator 0 and the one of largest nuclear norm
     pick = np.arange(len(ops))[:, None], np.argmax(nuc, axis=1)[:, None] * [0, 1]
-    w = _svd_polar(ops[pick])[1] if polars is None else polars[pick]
+    w = polars[pick]
     svals.flags.writeable = w.flags.writeable = False  # BoundReport hands out views
     lb = (np.abs(np.einsum("bkij,bwij->bwk", ops.conj(), w)) ** 2).sum(axis=-1) / n**2
     return _DuStack(
@@ -422,8 +408,8 @@ def _ascend(
         live = slice(None) if ascending.all() else np.flatnonzero(ascending)
         act = by_channel[live]
         g = (ov[live] @ flat[live])[act].reshape(-1, n, n)
-        newton = mode[idx] == 1 if newton_dims else None
-        stepped = newton is not None and newton.any()
+        newton = mode[idx] == 1  # never above NEWTON_MAX_DIM
+        stepped = newton.any()
         factor_input = g
         if stepped:
             at = idx[newton]
@@ -481,9 +467,9 @@ def _ascend(
 
 def _stack_of_one(ch: KrausChannel, rng: np.random.Generator | None):
     """The prologue of :func:`du` and :func:`du_optimize`: the trace check, then
-    the Kraus stack of one and its generator (seed 0 when ``rng`` is None)."""
+    the Kraus stack of one and its generator, None as given."""
     require_trace_preserving(ch)
-    return ch.kraus[None], [np.random.default_rng(0) if rng is None else rng]
+    return ch.kraus[None], [rng]
 
 
 def du_optimize(
@@ -515,8 +501,9 @@ def du_optimize(
 def _du_stack(kraus: np.ndarray, rngs, restarts: int, *, ascend_all: bool = False,
               trace: bool = False) -> _DuStack:
     """DU with its bounds for a (B, K, n, n) stack of trace-preserving
-    Kraus sets, one generator per channel (None for qubits, which never
-    draw).
+    Kraus sets, one generator or None per channel; a channel that takes the
+    ascent with None draws from ``np.random.default_rng(0)``, built only
+    then.
 
     Every stage runs on the whole stack: canonical form, bounds, the exact
     mixed-unitary test on the leading canonical operator, the exact qubit
@@ -554,7 +541,9 @@ def _du_stack(kraus: np.ndarray, rngs, restarts: int, *, ascend_all: bool = Fals
     if ascent.size:
         (value[ascent], witness[ascent], iterations[ascent], converged[ascent], traced,
          sweeps_total[ascent]) = _ascend(
-            ops[ascent], bounds.witnesses[ascent], [rngs[b] for b in ascent], restarts, trace
+            ops[ascent], bounds.witnesses[ascent],
+            [np.random.default_rng(0) if rngs[b] is None else rngs[b] for b in ascent],
+            restarts, trace,
         )
         for b, t in zip(ascent, traced or ()):
             traces[b] = tuple(t)

@@ -8,10 +8,10 @@ stack at a time through ``_du_stack``, never one ``du()`` call per channel.
 
 The closed-form table and the witness take given Kraus sets, as arrays.
 They check every set for trace preservation, then run one stack per array
-shape (n_ops, dim, dim), in which each channel has the generator
-``np.random.default_rng(0)`` that ``du(ch)`` builds when given none, and
-both run at ``du``'s default restarts, so each value and ``method`` label
-is ``du(ch)``'s bit for bit.
+shape (n_ops, dim, dim). Each channel is given no generator, as in
+``du(ch)``, so the DU core builds ``np.random.default_rng(0)`` for a
+channel only when it ascends, and both run at ``du``'s default restarts,
+so each value and ``method`` label is ``du(ch)``'s bit for bit.
 
 Both randomized studies sample through one generator, ``_sample``, which
 gives attempt k under a study's spawn key the integer seed
@@ -117,9 +117,9 @@ def _du_channels(kraus_sets: list, restarts: int) -> tuple[np.ndarray, np.ndarra
     Every set is checked for trace preservation first; the first that fails,
     in input order, raises ChannelValidationError. Then each shape's arrays
     run through the DU core once, as one stack, in which a channel's
-    canonical width is fixed by its shape, as in a stack of one. Channels of
-    dimension 3 and up get the ``default_rng(0)`` that ``du`` builds; qubit
-    channels take exact routes, which draw nothing, so they get none.
+    canonical width is fixed by its shape, as in a stack of one. Every
+    channel is given no generator, as ``du(ch)`` is, so one that ascends
+    draws from its own ``default_rng(0)``.
     """
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, kraus in enumerate(kraus_sets):
@@ -132,8 +132,7 @@ def _du_channels(kraus_sets: list, restarts: int) -> tuple[np.ndarray, np.ndarra
     values = np.empty(len(kraus_sets))
     routes = np.empty(len(kraus_sets), dtype=int)
     for idx, kraus in stacks:
-        rngs = _generators(np.zeros(len(idx), np.uint64)) if kraus.shape[-1] > 2 else None
-        s = _du_stack(kraus, rngs, restarts)
+        s = _du_stack(kraus, [None] * len(idx), restarts)
         values[idx], routes[idx] = s.du, s.route
     return values, routes
 
@@ -346,6 +345,7 @@ def run_tightness(
         n_bins = int(round((1.0 - lo) / BIN_WIDTH))
         edges = lo + BIN_WIDTH * np.arange(n_bins + 1)
         edges[-1] = 1.0
+        edges.flags.writeable = False
         target = math.ceil(samples / n_bins)
         # at env_dim 1 every channel is unitary (DU 1): only the top bin can fill
         total = min(attempt_cap, target) if env_dim == 1 else attempt_cap
@@ -455,6 +455,7 @@ def run_distribution(
         if binned.min() < lo - 1e-9 or binned.max() > 1.0 + 1e-9:
             raise ArithmeticError("sampled DU escaped the [1/n^2, 1] range")
         counts, edges = np.histogram(np.clip(binned, lo, 1.0), bins=num_bins, range=(lo, 1.0))
+        counts.flags.writeable = edges.flags.writeable = False
         out.append(
             DuHistogram(
                 env_dim=int(env_dim),
@@ -576,6 +577,7 @@ def run_witness(traj: Trajectory, threshold: float = 1e-6) -> WitnessReport:
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
     values = _du_channels([ch.kraus for ch in traj.channels], DEFAULT_RESTARTS)[0]
+    values.flags.writeable = False
     increases = tuple(
         WitnessIncrease(index=i, t_from=traj.times[i], t_to=traj.times[i + 1], delta=delta)
         for i, delta in enumerate(np.diff(values).tolist()) if delta > threshold

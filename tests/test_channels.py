@@ -6,6 +6,7 @@ from unitarity import (
     ChannelValidationError,
     ChiMatrix,
     KrausChannel,
+    Trajectory,
     apply_channel,
     as_mixed_unitary,
     canonicalize,
@@ -19,6 +20,9 @@ from unitarity import (
     kraus_to_chi,
     random_channel,
     require_trace_preserving,
+    run_distribution,
+    run_tightness,
+    run_witness,
     standard_channel,
     unitary_channel,
     validate,
@@ -139,13 +143,18 @@ class TestConstruction:
         x = ChiMatrix(2, m)
         m[0, 0] = 5.0
         assert x.mat[0, 0] == 1.0
-        res, rep = du(standard_channel("bit_flip", 0.3))
-        ck = canonicalize(standard_channel("bit_flip", 0.3))
+        ch = standard_channel("bit_flip", 0.3)
+        res, rep = du(ch)
+        ck = canonicalize(ch)
         opt = du_optimize(random_channel(3, 2, np.random.default_rng(0)), restarts=1)
+        hist = run_distribution(4, [2], seed=0, num_bins=3)[0]
         fields = [
             x.mat, kraus_to_chi(identity_channel(2)).mat, ck.weights,
             as_mixed_unitary(ck).coefficients, res.witness, opt.witness,
             rep.witness_lb1, rep.witness_lb2,
+            run_witness(Trajectory((0.0, 1.0), (ch, ch))).du_values,
+            hist.counts, hist.bin_edges,
+            run_tightness(4, stratified=True, attempt_cap=4).bin_edges,
         ]
         for a in fields:
             with pytest.raises(ValueError, match="read-only"):

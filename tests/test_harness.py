@@ -47,6 +47,7 @@ from unitarity.io import (
 
 from helpers import (
     DU_MODULE,
+    qutrit_weyl_depolarizing,
     reference_dilation_kraus,
     reference_table1_rows,
     reference_witness_values,
@@ -245,13 +246,24 @@ class TestTable1:
         assert report.rows == reference
         assert report.max_abs_error == max(r.error for r in report.rows)
 
-    def test_qubit_stacks_build_no_generators(self, monkeypatch):
-        # every Table 1 channel is a qubit on an exact route, which draws nothing
-        def refuse(seeds):
-            raise AssertionError("a qubit stack built generators")
+    def test_default_generator_is_built_only_to_ascend(self, monkeypatch):
+        # a channel given no generator draws its Haar starts from
+        # default_rng(0), which the DU core builds only when it ascends
+        ascending = random_channel(3, 2, np.random.default_rng(1))
+        seeds = []
+        default_rng = np.random.default_rng
 
-        monkeypatch.setattr("unitarity.harness._generators", refuse)
+        def counting(*args, **kwargs):
+            seeds.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        assert du(standard_channel("amplitude_damping", 0.36))[0].method == "exact_qubit"
+        assert du(qutrit_weyl_depolarizing(0.5))[0].method == "exact_mixed_unitary"
         assert run_table1(grid=5).rows == reference_table1_rows(5)
+        assert seeds == []
+        assert du(ascending)[0].method == "numerical_optimizer"
+        assert seeds == [(0,)]
 
     def test_specific_parameters(self):
         # depolarizing at p = 4/7 sits on the identity branch: 1 - 3/7
