@@ -101,9 +101,10 @@ class CanonicalKraus:
     """Orthogonalized Kraus set with <F_i, F_k> = delta_ik * weights[k].
 
     ``ops`` are sorted by descending weight; operators with weight at or
-    below the rank cutoff are dropped. From :func:`canonicalize`, ``ops``
-    is one C-ordered, read-only complex128 array of shape (R, dim, dim) and
-    ``weights`` a read-only float array of shape (R,).
+    below RANK_CUTOFF * max(1, weights[0]) are dropped. From
+    :func:`canonicalize`, ``ops`` is one C-ordered, read-only complex128
+    array of shape (R, dim, dim) and ``weights`` a read-only float array of
+    shape (R,).
     """
 
     dim: int
@@ -221,19 +222,18 @@ def chi_to_kraus(x: ChiMatrix) -> KrausChannel:
     """Recover Kraus operators from a chi matrix by eigendecomposition.
 
     E_k = sqrt(lambda_k) * unvec(v_k) for eigenpairs of chi; eigenvalues at
-    or below RANK_CUTOFF are dropped. Raises ChannelValidationError when chi
-    fails Hermiticity or PSD beyond a relative 1e-9.
+    or below RANK_CUTOFF * max(1, lambda_max) are dropped, the rank rule of
+    :func:`canonicalize`. Raises ChannelValidationError when chi fails
+    Hermiticity or PSD beyond a relative 1e-9.
     """
     mat = x.mat
-    scale = max(1.0, float(np.linalg.norm(mat)))
-    if np.linalg.norm(mat - mat.conj().T) > 1e-9 * scale:
+    if np.linalg.norm(mat - mat.conj().T) > 1e-9 * max(1.0, float(np.linalg.norm(mat))):
         raise ChannelValidationError("chi matrix is not Hermitian")
-    vals, vecs = np.linalg.eigh(mat)
-    if vals.min() < -1e-9 * max(1.0, float(vals.max())):
-        raise ChannelValidationError(
-            f"chi matrix is not PSD (min eigenvalue {vals.min():.3e})"
-        )
-    keep = np.flatnonzero(vals > RANK_CUTOFF)[::-1]  # eigh sorts ascending
+    vals, vecs = np.linalg.eigh(mat)  # ascending
+    scale = max(1.0, float(vals[-1]))
+    if vals[0] < -1e-9 * scale:
+        raise ChannelValidationError(f"chi matrix is not PSD (min eigenvalue {vals[0]:.3e})")
+    keep = np.flatnonzero(vals > RANK_CUTOFF * scale)[::-1]
     if not keep.size:
         raise ChannelValidationError("chi matrix has no weight above the rank cutoff")
     ops = np.sqrt(vals[keep])[:, None] * vecs[:, keep].T
@@ -243,28 +243,22 @@ def chi_to_kraus(x: ChiMatrix) -> KrausChannel:
 def _canonical_stack(kraus: np.ndarray):
     """Canonical form of a (B, K, n, n) stack of Kraus sets.
 
-    One batched ``eigh`` of the correlation matrices. Returns the weights
-    (B, R) and the operators (B, R, n, n), R = min(K, n^2) by shape alone,
-    so no channel's set depends on the rest of its stack. Weights at or below
-    RANK_CUTOFF and their operators are zero; a rank above n^2 raises.
+    One batched ``eigh`` of the correlation matrices; its R = min(K, n^2)
+    largest eigenpairs (a Gram matrix of vectors in C^(n^2) has no more
+    nonzero ones) give the weights (B, R) and the operators (B, R, n, n).
+    R is fixed by shape, so no channel's set depends on the rest of its
+    stack. A weight at or below RANK_CUTOFF * max(1, w_0), w_0 the
+    channel's largest, and its operator are zero.
     """
     n_batch, k, n = kraus.shape[:3]
     flat = kraus.reshape(n_batch, k, n * n)
     corr = np.einsum("bjx,bkx->bjk", flat.conj(), flat)
     vals, vecs = np.linalg.eigh(corr)
-    vals = vals[:, ::-1]
-    vecs = vecs[:, :, ::-1]
-    keep = vals > RANK_CUTOFF
-    rank = int(keep.sum(axis=1).max())
-    if rank > n * n:
-        raise ChannelValidationError(
-            f"correlation matrix rank {rank} exceeds dim^2 = {n * n}"
-        )
-    width = min(k, n * n)
-    keep = keep[:, :width]
-    ops = np.einsum("bji,bjxy->bixy", vecs, kraus)[:, :width]
-    weights = np.where(keep, vals[:, :width], 0.0)
-    return weights, np.where(keep[..., None, None], ops, 0.0)
+    top = slice(-1, -min(k, n * n) - 1, -1)  # eigh sorts ascending
+    vals, vecs = vals[:, top], vecs[:, :, top]
+    keep = vals > RANK_CUTOFF * np.maximum(1.0, vals[:, :1])
+    ops = np.einsum("bji,bjxy->bixy", vecs, kraus)
+    return np.where(keep, vals, 0.0), np.where(keep[..., None, None], ops, 0.0)
 
 
 def canonicalize(ch: KrausChannel) -> CanonicalKraus:
@@ -272,8 +266,9 @@ def canonicalize(ch: KrausChannel) -> CanonicalKraus:
 
     With W = u† D u (D descending), the operators F_i = sum_j conj(u[i, j]) E_j
     satisfy <F_i, F_k> = delta_ik D_kk and represent the same channel.
-    Combinations with weight at or below RANK_CUTOFF are discarded; at most
-    dim^2 operators survive.
+    Of the at most dim^2 combinations, those with weight at or below
+    RANK_CUTOFF * max(1, D_00) are discarded, so scaling the set by c scales
+    the weights by c^2 and keeps the rank.
     """
     weights, ops = _canonical_stack(ch.kraus[None])
     rank = np.count_nonzero(weights[0])

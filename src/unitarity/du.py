@@ -373,11 +373,11 @@ def _ascend(
     is at least every joined start's f when it joined.
 
     Returns, for each channel's winner, its DU, its unitary, its own sweep
-    count, whether it converged, and with ``want_trace`` its raw objectives
-    f(U) = sum_k |<U, F_k>|^2 before and after each sweep; and the number
-    of polar factors the ascent computed for each channel. A polar sweep
-    that decreases the objective beyond floating-point noise indicates a
-    broken update and raises ArithmeticError.
+    count, whether it converged, and with ``want_trace`` a tuple of its
+    raw objectives f(U) = sum_k |<U, F_k>|^2 before and after each sweep;
+    and the number of polar factors the ascent computed for each channel.
+    A polar sweep that decreases the objective beyond floating-point noise
+    indicates a broken update and raises ArithmeticError.
     """
     n = ops.shape[-1]
     u = np.concatenate([warm, haar_from_ginibre(ginibre_stack(n, rngs, restarts))], axis=1)
@@ -460,7 +460,8 @@ def _ascend(
         u.reshape(-1, n, n)[best],
         sweeps[best],
         ~active[best],
-        [np.array(history)[: sweeps[i] + 1, i].tolist() for i in best] if want_trace else None,
+        [tuple(t[: s + 1].tolist()) for t, s in zip(np.array(history).T[best], sweeps[best])]
+        if want_trace else None,
         (sweeps + fallbacks).reshape(a, p).sum(axis=1),
     )
 
@@ -546,7 +547,7 @@ def _du_stack(kraus: np.ndarray, rngs, restarts: int, *, ascend_all: bool = Fals
             restarts, trace,
         )
         for b, t in zip(ascent, traced or ()):
-            traces[b] = tuple(t)
+            traces[b] = t
 
     lb = np.maximum(bounds.lb1, bounds.lb2)
     escaped = np.flatnonzero((value < lb - BOUND_SLACK) | (value > bounds.ub + BOUND_SLACK))

@@ -4,9 +4,9 @@ Everything operates on plain numpy ``complex128`` arrays in row-major order.
 
 The DU core takes every polar factor from one kernel, :func:`_svd_polar`,
 the only choice of algorithm by size: the closed form :func:`_svd_polar_2x2`
-at 2x2 (no LAPACK call), else one batched SVD. Its singular values, like
-those of the bound stage's SVD without vectors, are sorted in descending
-order so downstream results serialize deterministically.
+at 2x2 (no LAPACK call), else one batched SVD. Its singular values are
+sorted in descending order so downstream results serialize
+deterministically.
 
 Haar sampling has one path: :func:`ginibre_stack` draws the Gaussian
 entries, one ``standard_normal`` call per generator, and
@@ -26,14 +26,16 @@ import numpy as np
 # decompositions on dim <= 64 matrices stay well below this.
 UNITARY_TOL = 1e-9
 
-# Singular values / eigenvalue weights below this count as zero in rank
-# decisions (double-precision noise floor).
+# Relative rank cutoff: a canonical weight or chi eigenvalue at or below
+# RANK_CUTOFF * max(1, largest) counts as zero (double-precision noise floor).
 RANK_CUTOFF = 1e-12
 
 
 def _require_at_least(name: str, value, low: int) -> None:
     """ValueError naming ``name`` unless ``value`` is an integer >= ``low``."""
     try:
+        if isinstance(value, bool):  # not an integer, though operator.index takes it
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

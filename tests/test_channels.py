@@ -294,6 +294,15 @@ class TestChi:
         with pytest.raises(ChannelValidationError):
             chi_to_kraus(type(chi)(2, bad))
 
+    @pytest.mark.parametrize("n, env", [(2, 2), (3, 4)])
+    def test_scaled_chi_keeps_the_rank(self, n, env):
+        # c^2 chi has the eigenvectors of chi and c^2 times its eigenvalues;
+        # its rounding-level ones stay below the relative cutoff
+        chi = kraus_to_chi(random_channel(n, env, np.random.default_rng([29, n, env]))).mat
+        assert chi_to_kraus(ChiMatrix(n, chi)).n_ops == env
+        for c in (1e3, 1e6):
+            assert chi_to_kraus(ChiMatrix(n, c * c * chi)).n_ops == env, c
+
 
 class TestCanonicalize:
     @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
@@ -360,6 +369,40 @@ class TestCanonicalize:
             chi1 = kraus_to_chi(ch).mat
             chi2 = kraus_to_chi(KrausChannel(ch.dim, ck.ops)).mat
             assert np.linalg.norm(chi1 - chi2) <= 1e-9
+
+    @pytest.mark.parametrize("extra", [-1, 2], ids=["below-n2", "above-n2"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rank_and_weights_scale_with_the_set(self, n, extra):
+        # K = n^2 + extra operators mixing r orthogonal directions of weights
+        # in [2, 8], at full rank min(K, n^2) and one below it: scaling the set
+        # by c scales every weight by c^2 and keeps the rank, from c^2 w = 2e-12
+        # just above the cutoff to weights near 1e14, whose rounding-level
+        # eigenvalues an absolute cutoff would count
+        k = n * n + extra
+        rng = np.random.default_rng([29, n, k])
+        for r in (min(k, n * n), min(k, n * n) - 1):
+            basis = haar_unitary(n * n, rng)[:r]
+            mix = haar_unitary(k, rng)[:, :r]
+            ops = ((mix * np.sqrt(np.geomspace(8.0, 2.0, r))) @ basis).reshape(k, n, n)
+            want = canonicalize(KrausChannel(n, ops)).weights
+            assert len(want) == r
+            for c in (1e-6, 1.0, 1e3, 1e6):
+                got = canonicalize(KrausChannel(n, c * ops)).weights
+                assert len(got) == r, (r, c)
+                assert np.all(np.abs(got - c * c * want) <= 1e-12 * c * c * want[0]), (r, c)
+
+    def test_pinned_scaled_sets(self):
+        # six operators in C^4 scaled by 1e6: their Gram matrix has rank 4,
+        # which rounding once pushed to 5 and a "rank exceeds dim^2" error
+        rng = np.random.default_rng(0)
+        six = 1e6 * (rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2)))
+        assert len(canonicalize(KrausChannel(2, six)).weights) == 4
+        # four combinations of three operators scaled by 1e6 have rank 3; a
+        # fourth weight of 5.35e-3 is rounding, 8e-17 of the largest
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+        four = np.einsum("kj,jab->kab", rng.standard_normal((4, 3)), a) * 1e6
+        assert len(canonicalize(KrausChannel(2, four)).weights) == 3
 
 
 class TestMixedUnitary:
@@ -581,6 +624,22 @@ class TestCompose:
             c = compose(a, b)
             assert validate(c).passed
             assert c.n_ops <= 4
+
+    def test_scaled_sets_compose_to_the_scaled_composition(self):
+        # 16 products in C^4 of two random sets, and the rank-2 products of
+        # two bit flips, each factor scaled by 1e3: the composition keeps the
+        # unscaled one's operator count and is its chi times 1e12
+        rng = np.random.default_rng(29)
+        pairs = [
+            (random_tp_channel(rng, env=4), random_tp_channel(rng, env=4)),
+            (standard_channel("bit_flip", 0.3), standard_channel("bit_flip", 0.8)),
+        ]
+        for f, e in pairs:
+            want = compose(f, e)
+            got = compose(KrausChannel(2, 1e3 * f.kraus), KrausChannel(2, 1e3 * e.kraus))
+            assert got.n_ops == want.n_ops
+            chi_want, chi_got = kraus_to_chi(want).mat, kraus_to_chi(got).mat
+            assert np.linalg.norm(chi_got - 1e12 * chi_want) <= 1e-12 * np.linalg.norm(chi_got)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):

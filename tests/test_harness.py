@@ -146,6 +146,27 @@ def test_non_integer_arguments_name_the_parameter(call, name):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(
+            lambda: run_tightness(samples=True, seed=False), "samples", id="tightness-samples"
+        ),
+        pytest.param(
+            lambda: du(standard_channel("depolarizing", 0.3), restarts=True),
+            "restarts",
+            id="du-restarts",
+        ),
+        pytest.param(lambda: KrausChannel(True, [[[1.0]]]), "dim", id="channel-dim"),
+    ],
+)
+def test_booleans_are_not_integer_arguments(call, name):
+    # operator.index takes True and False as 1 and 0; a JSON boolean is
+    # already a format error in io and the CLI
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got (True|False)$"):
+        call()
+
+
 def test_import_does_not_load_numpy_random():
     """numpy 2 loads numpy.random on first use, and importing the package must
     not be that use: it would add to every fresh interpreter's set-up. numpy 1
