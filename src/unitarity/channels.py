@@ -5,7 +5,7 @@ requiring sum_k E_k† E_k = I. This module provides construction and
 validation, conversion to and from the process (chi) matrix, the canonical
 orthogonal Kraus form, detection of mixed-unitary structure, the standard
 named single-qubit channels with their closed-form DU, Haar-dilation random
-channel sampling, and channel composition.
+channel sampling, channel composition, and trajectories of channels.
 
 Chi-matrix convention: operator basis A_j = |m><n| with flat index
 j = m * dim + n, i.e. row-major flattening of the matrix units.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_CUTOFF, _require_at_least, _svd_polar, as_matrix
+from .linalg import _BOOLS, RANK_CUTOFF, _require_at_least, _svd_polar, as_matrix
 from .linalg import ginibre_stack, haar_from_ginibre
 
 # Frobenius tolerance on sum_k E_k† E_k - I for trace preservation.
@@ -74,6 +74,33 @@ class KrausChannel:
     @property
     def n_ops(self) -> int:
         return len(self.kraus)
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Channel snapshots along an evolution, at ascending times."""
+
+    times: tuple[float, ...]
+    channels: tuple[KrausChannel, ...]
+
+    def __post_init__(self):
+        times = tuple(self.times)
+        if any(isinstance(t, _BOOLS) for t in times):
+            raise ValueError(f"times must be numbers, not booleans, got {times!r}")
+        times = tuple(map(float, times))
+        if not times:
+            raise ValueError("expected at least one time point")
+        if len(times) != len(self.channels):
+            raise ValueError(f"{len(times)} times but {len(self.channels)} channels")
+        if not all(map(math.isfinite, times)):
+            raise ValueError("times must be finite")
+        if any(not t1 < t2 for t1, t2 in zip(times, times[1:])):
+            raise ValueError("times must be strictly ascending")
+        dims = {ch.dim for ch in self.channels}
+        if len(dims) > 1:
+            raise ValueError(f"channels have mixed dims {sorted(dims)}")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "channels", tuple(self.channels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +193,10 @@ def validate(ch: KrausChannel, tol: float = TRACE_PRESERVATION_TOL) -> Validatio
 
     ``tol`` must be a finite number above 0, else ValueError.
     """
-    if not (math.isfinite(tol) and tol > 0):
+    if isinstance(tol, _BOOLS) or not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     residual = float(_trace_residuals(ch.kraus[None])[0])
-    return ValidationReport(residual=residual, passed=residual <= tol, tol=tol)
+    return ValidationReport(residual=residual, passed=bool(residual <= tol), tol=tol)
 
 
 def _trace_residuals(kraus: np.ndarray) -> np.ndarray:
@@ -315,10 +342,10 @@ def as_mixed_unitary(ck: CanonicalKraus) -> MixedUnitaryForm | None:
 
 
 def _check_standard(kind: str, param: float) -> None:
-    """Raise ValueError unless ``param`` is a real number in [0, 1] and
-    ``kind`` is one of STANDARD_KINDS."""
+    """Raise ValueError unless ``param`` is a real number (not a boolean) in
+    [0, 1] and ``kind`` is one of STANDARD_KINDS."""
     # float and int first: they answer without the slower ABC check
-    if not isinstance(param, (float, int, numbers.Real)):
+    if isinstance(param, _BOOLS) or not isinstance(param, (float, int, numbers.Real)):
         raise ValueError(f"parameter must be a real number, got {param!r}")
     if not 0.0 <= param <= 1.0:
         raise ValueError(f"parameter must be in [0, 1], got {param}")

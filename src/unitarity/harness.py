@@ -45,7 +45,7 @@ import numpy as np
 
 from .channels import (
     STANDARD_KINDS,
-    KrausChannel,
+    Trajectory,
     _check_trace_residuals,
     _dilation_kraus_stack,
     _standard_kraus,
@@ -53,7 +53,7 @@ from .channels import (
     closed_form_du,
 )
 from .du import _ROUTES, DEFAULT_RESTARTS, _du_stack, _DuStack
-from .linalg import _require_at_least
+from .linalg import _BOOLS, _require_at_least
 
 CHANNEL_FAMILIES = STANDARD_KINDS
 
@@ -479,32 +479,6 @@ def run_distribution(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Channel snapshots along an evolution, at ascending times."""
-
-    times: tuple[float, ...]
-    channels: tuple[KrausChannel, ...]
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        if not times:
-            raise ValueError("expected at least one time point")
-        if len(times) != len(self.channels):
-            raise ValueError(
-                f"{len(times)} times but {len(self.channels)} channels"
-            )
-        if not all(map(math.isfinite, times)):
-            raise ValueError("times must be finite")
-        if any(not t1 < t2 for t1, t2 in zip(times, times[1:])):
-            raise ValueError("times must be strictly ascending")
-        dims = {ch.dim for ch in self.channels}
-        if len(dims) > 1:
-            raise ValueError(f"channels have mixed dims {sorted(dims)}")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "channels", tuple(self.channels))
-
-
 @dataclass(frozen=True)
 class WitnessIncrease:
     index: int
@@ -574,7 +548,7 @@ class WitnessReport:
 def run_witness(traj: Trajectory, threshold: float = 1e-6) -> WitnessReport:
     """Compute DU along the trajectory and flag increases above threshold,
     which must be a finite number of at least 0; each value is ``du(ch)``'s."""
-    if not (math.isfinite(threshold) and threshold >= 0):
+    if isinstance(threshold, _BOOLS) or not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
     values = _du_channels([ch.kraus for ch in traj.channels], DEFAULT_RESTARTS)[0]
     values.flags.writeable = False
@@ -586,6 +560,6 @@ def run_witness(traj: Trajectory, threshold: float = 1e-6) -> WitnessReport:
         times=traj.times,
         du_values=values,
         increases=increases,
-        threshold=threshold,
+        threshold=float(threshold),
         dim=traj.channels[0].dim,
     )

@@ -16,9 +16,11 @@ with one channel object per time point, at strictly ascending times.
 Every number must be a JSON number within the float range ("dim" an
 integral one); a boolean or a numeric string is a FormatError.
 
-The Table 1, tightness and distribution CSVs are each a header line, then
-one row per record at 17 significant digits. A Table 1 row and a tightness
-record are named tuples whose fields are their CSV's columns, in order.
+The Table 1 and tightness CSVs are a header line, then one row per record;
+the distribution CSV is a ``# mean=...`` summary line, a header line, then
+one row per bin. Numbers are written at 17 significant digits. A Table 1
+row and a tightness record are named tuples whose fields are their CSV's
+columns, in order.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import KrausChannel, standard_channel
-from .harness import CHUNK, Trajectory
+from .channels import KrausChannel, Trajectory, standard_channel
 
 
 class FormatError(ValueError):
@@ -153,19 +154,15 @@ def load_trajectory(path: str) -> Trajectory:
     return trajectory_from_obj(load_json(path))
 
 
-def _blocks(row_format: str, rows):
-    """The sequence ``rows`` through ``row_format``, ``CHUNK`` rows at a time
-    with one ``%`` operation a block, as one string a block."""
-    for start in range(0, len(rows), CHUNK):
-        block = rows[start:start + CHUNK]
-        yield row_format * len(block) % tuple(chain.from_iterable(block))
+def _format_rows(row_format: str, rows) -> str:
+    """The sequence ``rows`` through ``row_format``, in one ``%`` operation."""
+    return row_format * len(rows) % tuple(chain.from_iterable(rows))
 
 
 def _write_rows(path: str, head: str, row_format: str, rows) -> None:
     """Write ``head``, then the sequence ``rows`` through ``row_format``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head)
-        fh.writelines(_blocks(row_format, rows))
+        fh.write(head + _format_rows(row_format, rows))
 
 
 TABLE1_HEADER = "family,param,du,closed_form,error,method"
@@ -188,7 +185,7 @@ def write_tightness_csv(records: Iterable, path: str, by_ub_path: str | None = N
     are stable, so tied records keep their input order.
     """
     records = tuple(records)
-    lines = "".join(_blocks(_TIGHTNESS_ROW, records)).splitlines(keepends=True)
+    lines = _format_rows(_TIGHTNESS_ROW, records).splitlines(keepends=True)
     orders = [(path, [r.du_value for r in records])]
     if by_ub_path is not None:
         orders.append((by_ub_path, [r.ub for r in records]))

@@ -30,11 +30,15 @@ UNITARY_TOL = 1e-9
 # RANK_CUTOFF * max(1, largest) counts as zero (double-precision noise floor).
 RANK_CUTOFF = 1e-12
 
+# Python and numpy booleans: no number to this package, though float() and
+# operator.index() take them.
+_BOOLS = (bool, np.bool_)
+
 
 def _require_at_least(name: str, value, low: int) -> None:
     """ValueError naming ``name`` unless ``value`` is an integer >= ``low``."""
     try:
-        if isinstance(value, bool):  # not an integer, though operator.index takes it
+        if isinstance(value, _BOOLS):
             raise TypeError
         value = operator.index(value)
     except TypeError:

@@ -1,5 +1,6 @@
 """The public surface: its optional parameters, and the documented example."""
 
+import ast
 import dataclasses
 import inspect
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import unitarity
+import unitarity.io
 from unitarity import (
     CanonicalKraus,
     Trajectory,
@@ -154,3 +156,16 @@ def test_readme_quickstart_runs():
     section = readme.split("## Library quickstart", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, "README.md quickstart", "exec"), {})
+
+
+def test_format_layer_stands_on_the_channel_layer():
+    # io reads and writes channels and trajectories, and imports no driver:
+    # linalg <- channels <- {fidelity, du, io} <- harness <- cli
+    tree = ast.parse(Path(unitarity.io.__file__).read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert imported == {"channels"}
+    assert not any(alias.name.startswith("unitarity") for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names)
+    assert not hasattr(unitarity.io, "_blocks")
+    assert unitarity.Trajectory is unitarity.harness.Trajectory is unitarity.channels.Trajectory

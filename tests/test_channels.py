@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,34 @@ class TestApply:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             apply_channel(identity_channel(2), np.eye(3) / 3)
+
+
+class TestRejectedInputs:
+    """Each input check raises its exception type with its message."""
+
+    @pytest.mark.parametrize(
+        "call, kind, message",
+        [
+            (lambda: ChiMatrix(2, np.eye(3)), ValueError,
+             "chi must be 4x4 for dim 2, got (3, 3)"),
+            (lambda: convex_unitary_mixture([np.eye(2)], [0.5, 0.5]), ValueError,
+             "need one probability per unitary"),
+            (lambda: apply_channel(identity_channel(2), [[0.5, 0.5], [0.0, 0.5]]), ValueError,
+             "state must be Hermitian"),
+            (lambda: apply_channel(identity_channel(2), np.eye(2)), ValueError,
+             "state must have unit trace"),
+            (lambda: chi_to_kraus(ChiMatrix(2, np.triu(np.ones((4, 4))))), ChannelValidationError,
+             "chi matrix is not Hermitian"),
+            (lambda: chi_to_kraus(ChiMatrix(2, np.zeros((4, 4)))), ChannelValidationError,
+             "chi matrix has no weight above the rank cutoff"),
+        ],
+        ids=["chi-shape", "mixture-count", "state-hermitian", "state-trace", "chi-hermitian",
+             "chi-zero"],
+    )
+    def test_message(self, call, kind, message):
+        with pytest.raises(kind, match=f"^{re.escape(message)}$") as raised:
+            call()
+        assert type(raised.value) is kind
 
 
 class TestChi:

@@ -7,9 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unitarity import random_channel, standard_channel
+from unitarity import identity_channel, random_channel, run_tightness, standard_channel
 from unitarity.cli import build_parser, main
-from unitarity.io import channel_to_obj, load_channel, save_channel
+from unitarity.io import (
+    FormatError,
+    channel_from_obj,
+    channel_to_obj,
+    load_channel,
+    matrix_from_obj,
+    save_channel,
+    trajectory_from_obj,
+)
 
 from helpers import DU_MODULE
 
@@ -188,6 +196,23 @@ class TestRandomizedCommands:
         first = (tmp_path / "dist_d2.csv").read_text().splitlines()[0]
         assert first.startswith("# mean=")
         assert first.endswith(" du_column=lb1")
+
+    def test_underfilled_bins_are_listed(self, capsys):
+        # at env dim 4 the attempt cap runs out before the low DU bins fill:
+        # each bin left below its target of 3 gets one line, in bin order
+        argv = ["tightness", "--samples", "40", "--seed", "5", "--stratified", "--env-dim", "4",
+                "--attempt-cap", "2000"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        result = run_tightness(40, env_dim=4, seed=5, stratified=True, attempt_cap=2000)
+        assert " attempts=2000 records=31 " in lines[0]
+        assert result.target_per_bin == 3 and len(result.underfilled) == 5
+        edges = result.bin_edges
+        assert lines[1:6] == [
+            f"# under-filled bin [{edges[b]:.2f}, {edges[b + 1]:.2f}): {count}/3 records"
+            for b, count in sorted(result.underfilled.items())
+        ]
+        assert not lines[6].startswith("#")
 
     def test_summary_lines_report_counts(self, capsys):
         assert main(["tightness", "--samples", "6", "--seed", "2", "--env-dim", "1"]) == 0
@@ -442,6 +467,34 @@ class TestStrictNumbers:
         path.write_text(json.dumps(obj))
         assert main(["du", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+class TestFormatErrors:
+    """Each malformed object is a FormatError with its message."""
+
+    IDENTITY = channel_to_obj(identity_channel(2))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: matrix_from_obj([[1, 0], [0, 1]]),
+             "matrix: expected shape (rows, cols, 2), got (2, 2)"),
+            (lambda: channel_from_obj([1]), "channel: expected a JSON object, got list"),
+            (lambda: channel_from_obj({"dim": 2, "kraus": []}),
+             "channel: 'kraus' must be a nonempty list"),
+            (lambda: trajectory_from_obj([]), "trajectory: expected a JSON object"),
+            (lambda: trajectory_from_obj({"dim": 2, "times": [0]}),
+             "trajectory: missing key 'channels'"),
+            (lambda: trajectory_from_obj({"dim": 3, "times": [0],
+                                          "channels": [TestFormatErrors.IDENTITY]}),
+             "trajectory: channel dim 2 != declared dim 3"),
+        ],
+        ids=["matrix-shape", "channel-not-object", "kraus-empty", "trajectory-not-object",
+             "trajectory-missing-key", "trajectory-dim-mismatch"],
+    )
+    def test_message(self, call, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestNonIntegralDim:

@@ -26,6 +26,7 @@ from unitarity import (
     run_tightness,
     run_witness,
     standard_channel,
+    validate,
 )
 from unitarity.channels import STANDARD_KINDS
 from unitarity.cli import main
@@ -167,6 +168,52 @@ def test_booleans_are_not_integer_arguments(call, name):
         call()
 
 
+def test_distribution_rejects_an_unknown_column():
+    message = "du_column must be 'dispatcher' or 'lb1', got 'ub'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_distribution(5, [2], seed=1, du_column="ub")
+
+
+@pytest.mark.parametrize(
+    "flag", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"]
+)
+class TestBooleansAreNotNumbers:
+    """Booleans are no real numbers to the library, as JSON booleans are none
+    to io and the CLI, though float() takes them; each check keeps its message."""
+
+    @pytest.mark.parametrize("family", [standard_channel, closed_form_du])
+    def test_standard_param(self, flag, family):
+        with pytest.raises(ValueError) as raised:
+            family("bit_flip", flag)
+        assert str(raised.value) == f"parameter must be a real number, got {flag!r}"
+
+    def test_validate_tol(self, flag):
+        with pytest.raises(ValueError) as raised:
+            validate(identity_channel(2), tol=flag)
+        assert str(raised.value) == f"tol must be a finite number > 0, got {flag!r}"
+
+    def test_witness_threshold(self, flag):
+        traj = Trajectory((0.0, 1.0), (identity_channel(2), identity_channel(2)))
+        with pytest.raises(ValueError) as raised:
+            run_witness(traj, threshold=flag)
+        assert str(raised.value) == f"threshold must be a finite number >= 0, got {flag!r}"
+
+    def test_trajectory_times(self, flag):
+        times = (flag, 2.0)
+        with pytest.raises(ValueError) as raised:
+            Trajectory(times, (identity_channel(2), identity_channel(2)))
+        assert str(raised.value) == f"times must be numbers, not booleans, got {times!r}"
+
+
+def test_report_flags_and_thresholds_are_python_scalars():
+    # a numpy tolerance or an integer threshold is stored as a plain bool or float
+    report = validate(identity_channel(2), tol=np.float64(1e-9))
+    assert report.passed is True
+    traj = Trajectory((0.0, 1.0), (identity_channel(2), identity_channel(2)))
+    threshold = run_witness(traj, threshold=0).threshold
+    assert type(threshold) is float and threshold == 0.0
+
+
 def test_import_does_not_load_numpy_random():
     """numpy 2 loads numpy.random on first use, and importing the package must
     not be that use: it would add to every fresh interpreter's set-up. numpy 1
@@ -223,7 +270,7 @@ class TestClosedForm:
         with pytest.raises(ValueError, match=re.escape(named)):
             family("bit_flip", param)
 
-    @pytest.mark.parametrize("param", [np.float64(0.25), np.float32(0.5), True, 0])
+    @pytest.mark.parametrize("param", [np.float64(0.25), np.float32(0.5), 0])
     def test_accepts_any_real_number(self, param):
         assert standard_channel("amplitude_damping", param).dim == 2
         assert closed_form_du("amplitude_damping", param) == pytest.approx(
@@ -723,6 +770,8 @@ class TestWitness:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 Trajectory(times=(0.0, bad), channels=(ch, ch))
+        with pytest.raises(ValueError, match=re.escape("channels have mixed dims [2, 3]")):
+            Trajectory(times=(0.0, 1.0), channels=(ch, identity_channel(3)))
 
 
 class TestCsvEmitters:
@@ -742,14 +791,11 @@ class TestCsvEmitters:
             dus.index(float(row.split(",")[0]))
         ].du_value
 
-    @pytest.mark.parametrize("chunk", [3, harness.CHUNK])
     @pytest.mark.parametrize("name, key", [("du", "du_value"), ("ub", "ub")])
-    def test_tightness_csv_text(self, tmp_path, monkeypatch, chunk, name, key):
-        # one call writes the du file and the ub file, rows a block at a
-        # time; each file's text is that of one f-string per row in its own
-        # order, whatever the block size, and records tied in du or in ub
-        # (the last two) keep their input order
-        monkeypatch.setattr("unitarity.io.CHUNK", chunk)
+    def test_tightness_csv_text(self, tmp_path, name, key):
+        # one call writes the du file and the ub file; each file's text is
+        # that of one f-string per row in its own order, and records tied in
+        # du or in ub (the last two) keep their input order
         records = [
             harness.TightnessRecord(0.1, 1 / 3, 5e-324, -0.0, 1e16, 0.7, 0),
             harness.TightnessRecord(1 / 3, 0.1, -0.0, -2.5e-17, 0.0, 0.4, 2**64 - 1),
@@ -773,11 +819,9 @@ class TestCsvEmitters:
         write_tightness_csv([], str(paths["du"]), str(paths["ub"]))
         assert paths[name].read_text() == TIGHTNESS_HEADER + "\n"
 
-    @pytest.mark.parametrize("chunk", [3, harness.CHUNK])
-    def test_tightness_du_file_is_the_same_alone(self, tmp_path, monkeypatch, chunk):
+    def test_tightness_du_file_is_the_same_alone(self, tmp_path):
         # writing the ub file too leaves the du file's bytes as they are
         # when it is written alone, ties included
-        monkeypatch.setattr("unitarity.io.CHUNK", chunk)
         ties = [
             harness.TightnessRecord(0.5, 0.1, 0.2, -0.4, -0.3, 0.7, 5),
             harness.TightnessRecord(0.25, 1 / 3, 0.2, -0.05, -0.05, 0.7, 2**64 - 1),
@@ -808,10 +852,8 @@ class TestCsvEmitters:
             with pytest.raises(AttributeError):
                 record.du_value = 0.0
 
-    @pytest.mark.parametrize("chunk", [7, harness.CHUNK])
-    def test_table1_csv_text(self, tmp_path, monkeypatch, capsys, chunk):
-        # the text is that of one f-string per row, whatever the block size
-        monkeypatch.setattr("unitarity.io.CHUNK", chunk)
+    def test_table1_csv_text(self, tmp_path, capsys):
+        # the text is that of one f-string per row
         path = tmp_path / "table1.csv"
         assert main(["table1", "--grid", "51", "--out", str(path)]) == 0
         expected = "".join(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,3 +255,10 @@ def test_tolerance_constants_exposed():
 def test_as_matrix_rejects_nan():
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.nan, 0], [0, 1]]))
+
+
+def test_unitarity_defect_rejects_a_non_square_matrix():
+    message = "expected a square matrix, got (2, 3)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
+        unitarity_defect(np.ones((2, 3)))
+    assert type(raised.value) is ValueError
