@@ -791,12 +791,14 @@ class TestCsvEmitters:
             dus.index(float(row.split(",")[0]))
         ].du_value
 
+    @pytest.mark.parametrize("copies", [3, 512])
     @pytest.mark.parametrize("name, key", [("du", "du_value"), ("ub", "ub")])
-    def test_tightness_csv_text(self, tmp_path, name, key):
+    def test_tightness_csv_text(self, tmp_path, name, key, copies):
         # one call writes the du file and the ub file; each file's text is
-        # that of one f-string per row in its own order, and records tied in
-        # du or in ub (the last two) keep their input order
-        records = [
+        # that of one f-string per row in its own order, however many rows,
+        # and records tied in du or in ub (the last two, and every copy, told
+        # apart by its seed) keep their input order
+        base = [
             harness.TightnessRecord(0.1, 1 / 3, 5e-324, -0.0, 1e16, 0.7, 0),
             harness.TightnessRecord(1 / 3, 0.1, -0.0, -2.5e-17, 0.0, 0.4, 2**64 - 1),
             harness.TightnessRecord(0.25, 0.2, 0.1, -1 / 3, 5e-324, 1e16, 17),
@@ -807,6 +809,7 @@ class TestCsvEmitters:
             harness.TightnessRecord(0.5, 0.4, 0.5, -0.1, 0.0, 0.7, 5),
             harness.TightnessRecord(0.0, 0.0, 0.0, 0.0, 0.0, 0.1, 4),
         ]
+        records = [r._replace(seed=r.seed ^ c) for c in range(copies) for r in base]
         paths = {"du": tmp_path / "tight.csv", "ub": tmp_path / "tight_by_ub.csv"}
         # a generator: the writer reads its records once for both files
         write_tightness_csv(iter(records), str(paths["du"]), str(paths["ub"]))
@@ -819,16 +822,18 @@ class TestCsvEmitters:
         write_tightness_csv([], str(paths["du"]), str(paths["ub"]))
         assert paths[name].read_text() == TIGHTNESS_HEADER + "\n"
 
-    def test_tightness_du_file_is_the_same_alone(self, tmp_path):
+    @pytest.mark.parametrize("copies", [3, 512])
+    def test_tightness_du_file_is_the_same_alone(self, tmp_path, copies):
         # writing the ub file too leaves the du file's bytes as they are
-        # when it is written alone, ties included
-        ties = [
+        # when it is written alone, ties included, however many rows
+        base = [
             harness.TightnessRecord(0.5, 0.1, 0.2, -0.4, -0.3, 0.7, 5),
             harness.TightnessRecord(0.25, 1 / 3, 0.2, -0.05, -0.05, 0.7, 2**64 - 1),
             harness.TightnessRecord(0.5, 0.4, 0.5, -0.1, 0.0, 0.6, 0),
             harness.TightnessRecord(-0.0, 5e-324, 0.0, -0.0, -0.0, 0.7, 9),
             harness.TightnessRecord(0.0, 0.0, 0.0, 0.0, 0.0, 1e16, 3),
         ]
+        ties = [r._replace(seed=r.seed ^ c) for c in range(copies) for r in base]
         for records in (ties, run_tightness(samples=40, env_dim=4, seed=8).records, []):
             both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
             write_tightness_csv(records, str(both), str(tmp_path / "both_by_ub.csv"))
@@ -852,14 +857,15 @@ class TestCsvEmitters:
             with pytest.raises(AttributeError):
                 record.du_value = 0.0
 
-    def test_table1_csv_text(self, tmp_path, capsys):
-        # the text is that of one f-string per row
+    @pytest.mark.parametrize("grid", [7, 512])
+    def test_table1_csv_text(self, tmp_path, capsys, grid):
+        # the text is that of one f-string per row, whatever the grid
         path = tmp_path / "table1.csv"
-        assert main(["table1", "--grid", "51", "--out", str(path)]) == 0
+        assert main(["table1", "--grid", str(grid), "--out", str(path)]) == 0
         expected = "".join(
             f"{r.family},{r.param:.17g},{r.du_value:.17g},"
             f"{r.closed_form:.17g},{r.error:.17g},{r.method}\n"
-            for r in run_table1(51).rows
+            for r in run_table1(grid).rows
         )
         assert path.read_text() == "family,param,du,closed_form,error,method\n" + expected
 
