@@ -101,9 +101,12 @@ def _cmd_tightness(args) -> int:
           f"stratified={args.stratified} attempts={result.attempts} "
           f"records={len(result.records)} nonconverged={result.nonconverged} "
           f"exact={result.exact}")
-    for b, count in sorted((result.underfilled or {}).items()):
-        lo, hi = result.bin_edges[b:b + 2]
-        print(f"# under-filled bin [{lo:.2f}, {hi:.2f}): {count}/{result.target_per_bin} records")
+    if result.underfilled:
+        for b, count in sorted(result.underfilled.items()):
+            lo = result.bin_edges[b]
+            hi = result.bin_edges[b + 1]
+            print(f"# under-filled bin [{lo:.2f}, {hi:.2f}): "
+                  f"{count}/{result.target_per_bin} records")
     if args.out:
         root, ext = os.path.splitext(args.out)
         by_ub = f"{root}_by_ub{ext or '.csv'}"

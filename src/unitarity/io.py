@@ -154,15 +154,11 @@ def load_trajectory(path: str) -> Trajectory:
     return trajectory_from_obj(load_json(path))
 
 
-def _format_rows(row_format: str, rows) -> str:
-    """The sequence ``rows`` through ``row_format``, in one ``%`` operation."""
-    return row_format * len(rows) % tuple(chain.from_iterable(rows))
-
-
 def _write_rows(path: str, head: str, row_format: str, rows) -> None:
-    """Write ``head``, then the sequence ``rows`` through ``row_format``."""
+    """Write ``head``, then ``rows`` through ``row_format`` in one ``%`` operation."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head + _format_rows(row_format, rows))
+        fh.write(head)
+        fh.write(row_format * len(rows) % tuple(chain.from_iterable(rows)))
 
 
 TABLE1_HEADER = "family,param,du,closed_form,error,method"
@@ -185,7 +181,8 @@ def write_tightness_csv(records: Iterable, path: str, by_ub_path: str | None = N
     are stable, so tied records keep their input order.
     """
     records = tuple(records)
-    lines = _format_rows(_TIGHTNESS_ROW, records).splitlines(keepends=True)
+    body = _TIGHTNESS_ROW * len(records) % tuple(chain.from_iterable(records))
+    lines = body.splitlines(keepends=True)
     orders = [(path, [r.du_value for r in records])]
     if by_ub_path is not None:
         orders.append((by_ub_path, [r.ub for r in records]))

@@ -30,8 +30,7 @@ UNITARY_TOL = 1e-9
 # RANK_CUTOFF * max(1, largest) counts as zero (double-precision noise floor).
 RANK_CUTOFF = 1e-12
 
-# Python and numpy booleans: no number to this package, though float() and
-# operator.index() take them.
+# Python and numpy booleans: float() and operator.index() take them, this package does not.
 _BOOLS = (bool, np.bool_)
 
 
