@@ -14,13 +14,12 @@ j = m * dim + n, i.e. row-major flattening of the matrix units.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _BOOLS, RANK_CUTOFF, _require_at_least, _svd_polar, as_matrix
-from .linalg import ginibre_stack, haar_from_ginibre
+from .linalg import RANK_CUTOFF, _is_real, _require_at_least, _require_real, _svd_polar
+from .linalg import as_matrix, ginibre_stack, haar_from_ginibre
 
 # Frobenius tolerance on sum_k E_k† E_k - I for trace preservation.
 TRACE_PRESERVATION_TOL = 1e-9
@@ -85,15 +84,13 @@ class Trajectory:
 
     def __post_init__(self):
         times = tuple(self.times)
-        if any(isinstance(t, _BOOLS) for t in times):
+        if not all(map(_is_real, times)):
             raise ValueError(f"times must be numbers, not booleans, got {times!r}")
-        times = tuple(map(float, times))
+        times = tuple(_require_real("times", t, -math.inf, False) for t in times)
         if not times:
             raise ValueError("expected at least one time point")
         if len(times) != len(self.channels):
             raise ValueError(f"{len(times)} times but {len(self.channels)} channels")
-        if not all(map(math.isfinite, times)):
-            raise ValueError("times must be finite")
         if any(not t1 < t2 for t1, t2 in zip(times, times[1:])):
             raise ValueError("times must be strictly ascending")
         dims = {ch.dim for ch in self.channels}
@@ -193,8 +190,7 @@ def validate(ch: KrausChannel, tol: float = TRACE_PRESERVATION_TOL) -> Validatio
 
     ``tol`` must be a finite number above 0, else ValueError.
     """
-    if isinstance(tol, _BOOLS) or not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    tol = _require_real("tol", tol, 0.0, True)
     residual = float(_trace_residuals(ch.kraus[None])[0])
     return ValidationReport(residual=residual, passed=bool(residual <= tol), tol=tol)
 
@@ -341,34 +337,51 @@ def as_mixed_unitary(ck: CanonicalKraus) -> MixedUnitaryForm | None:
     return MixedUnitaryForm(dim=ck.dim, unitaries=unitaries, coefficients=coefficients)
 
 
-def _check_standard(kind: str, param: float) -> None:
-    """Raise ValueError unless ``param`` is a real number (not a boolean) in
-    [0, 1] and ``kind`` is one of STANDARD_KINDS."""
-    # float and int first: they answer without the slower ABC check
-    if isinstance(param, _BOOLS) or not isinstance(param, (float, int, numbers.Real)):
+def _check_standard(kind: str, param) -> float:
+    """``param`` as a float; ValueError unless it is a real number (not a
+    boolean) in [0, 1] and ``kind`` is one of STANDARD_KINDS."""
+    if not _is_real(param):
         raise ValueError(f"parameter must be a real number, got {param!r}")
     if not 0.0 <= param <= 1.0:
         raise ValueError(f"parameter must be in [0, 1], got {param}")
     if kind not in STANDARD_KINDS:
         raise ValueError(f"unknown channel kind {kind!r}; expected one of {STANDARD_KINDS}")
+    return float(param)
 
 
-def _standard_kraus(kind: str, param: float) -> np.ndarray:
-    """The Kraus set of :func:`standard_channel` as one (K, 2, 2) complex128
-    array, without the channel's validation and copy."""
-    _check_standard(kind, param)
+# The Pauli families' weights on I, X, Y, Z at parameter p are a + b * p,
+# which rounds exactly as the formulas 1 - 3p/4, p/4, p and 1 - p do.
+_PAULI_WEIGHTS = {
+    "depolarizing": np.array([(1.0, 0.0, 0.0, 0.0), (-0.75, 0.25, 0.25, 0.25)]),
+    "bit_flip": np.array([(0.0, 1.0, 0.0, 0.0), (1.0, -1.0, 0.0, 0.0)]),
+    "phase_flip": np.array([(0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, -1.0)]),
+}
+
+
+def _standard_stacks(kind: str, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The Kraus sets of :func:`standard_channel` at every parameter of a
+    1-D float array, built in whole-array operations and grouped by which
+    operators have a nonzero coefficient: a list of (indices into
+    ``params``, ascending; (B, K, 2, 2) complex128 stack) pairs. ``kind``
+    and ``params`` are taken as valid."""
     if kind == "amplitude_damping":
-        e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - param)]], dtype=np.complex128)
-        e1 = np.array([[0.0, np.sqrt(param)], [0.0, 0.0]], dtype=np.complex128)
-        return np.array([e0] if param == 0.0 else [e0, e1])
-    q = 0.25 * param
-    weights = np.array({  # of I, X, Y, Z
-        "depolarizing": (1.0 - 0.75 * param, q, q, q),
-        "bit_flip": (param, 1.0 - param, 0.0, 0.0),
-        "phase_flip": (param, 0.0, 0.0, 1.0 - param),
-    }[kind])
-    keep = weights != 0.0
-    return np.sqrt(weights[keep])[:, None, None] * _PAULIS[keep]
+        kraus = np.zeros((len(params), 2, 2, 2), dtype=np.complex128)
+        kraus[:, 0, 0, 0] = 1.0
+        kraus[:, 0, 1, 1] = np.sqrt(1.0 - params)
+        kraus[:, 1, 0, 1] = np.sqrt(params)
+        keep = np.ones((len(params), 2), dtype=bool)
+        keep[:, 1] = params != 0.0
+    else:
+        a, b = _PAULI_WEIGHTS[kind]
+        weights = a + params[:, None] * b
+        keep = weights != 0.0
+        kraus = np.sqrt(weights)[:, :, None, None] * _PAULIS
+    codes = keep @ (1 << np.arange(keep.shape[1]))  # each set's nonzero pattern
+    groups = []
+    for code in sorted(set(codes.tolist())):
+        idx = np.flatnonzero(codes == code)
+        groups.append((idx, kraus[idx][:, keep[idx[0]]]))
+    return groups
 
 
 def standard_channel(kind: str, param: float) -> KrausChannel:
@@ -382,20 +395,30 @@ def standard_channel(kind: str, param: float) -> KrausChannel:
     Operators with an exactly zero coefficient are omitted, so e.g.
     depolarizing at p = 0 is the single-operator identity channel. A kind
     not in STANDARD_KINDS or a parameter outside [0, 1] is a ValueError.
+    The Kraus set is the family builder's on a grid of one, the one that
+    :func:`~unitarity.harness.run_table1` runs over its whole grid.
     """
-    return KrausChannel(2, _standard_kraus(kind, param))
+    (_, kraus), = _standard_stacks(kind, np.array([_check_standard(kind, param)]))
+    return KrausChannel(2, kraus[0])
+
+
+def _closed_forms(kind: str, p: np.ndarray) -> np.ndarray:
+    """The closed forms of :func:`closed_form_du` at every parameter of a
+    1-D float array, in whole-array operations."""
+    if kind == "depolarizing":
+        return np.maximum(0.25 * p, 1.0 - 0.75 * p)
+    if kind == "amplitude_damping":
+        return (1.0 + np.sqrt(1.0 - p)) ** 2 / 4.0
+    return np.maximum(p, 1.0 - p)  # bit_flip, phase_flip
 
 
 def closed_form_du(kind: str, param: float) -> float:
-    """Reference DU for the standard single-qubit channel families: the
-    paper's Table 1 formulas, kept literal rather than derived from the Kraus
-    sets they check. Rejects what :func:`standard_channel` rejects."""
-    _check_standard(kind, param)
-    if kind == "depolarizing":
-        return max(0.25 * param, 1.0 - 0.75 * param)
-    if kind == "amplitude_damping":
-        return (1.0 + math.sqrt(1.0 - param)) ** 2 / 4.0
-    return max(param, 1.0 - param)  # bit_flip, phase_flip
+    """Reference DU for the standard single-qubit channel families, as a
+    Python float: the paper's Table 1 formulas, kept literal rather than
+    derived from the Kraus sets they check, by the array code that
+    :func:`~unitarity.harness.run_table1` runs over its whole grid, here on
+    a grid of one. Rejects what :func:`standard_channel` rejects."""
+    return float(_closed_forms(kind, np.array([_check_standard(kind, param)]))[0])
 
 
 def _dilation_kraus_stack(sys_dim: int, env_dim: int, rngs) -> np.ndarray:

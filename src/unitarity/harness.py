@@ -7,11 +7,16 @@ from the one pipeline in :mod:`unitarity.du`, which every driver feeds a
 stack at a time through ``_du_stack``, never one ``du()`` call per channel.
 
 The closed-form table and the witness take given Kraus sets, as arrays.
-They check every set for trace preservation, then run one stack per array
-shape (n_ops, dim, dim). Each channel is given no generator, as in
-``du(ch)``, so the DU core builds ``np.random.default_rng(0)`` for a
-channel only when it ascends, and both run at ``du``'s default restarts,
-so each value and ``method`` label is ``du(ch)``'s bit for bit.
+The table builds each standard family's sets over its whole grid with one
+call of the family builder that :func:`~unitarity.standard_channel` runs on
+a grid of one, and its closed forms with the array code of
+:func:`~unitarity.closed_form_du`; the witness stacks its trajectory's
+``.kraus`` arrays by shape. Both check every set for trace preservation,
+then run one stack per array shape (n_ops, dim, dim). Each channel is given
+no generator, as in ``du(ch)``, so the DU core builds
+``np.random.default_rng(0)`` for a channel only when it ascends, and both
+run at ``du``'s default restarts, so each value and ``method`` label is
+``du(ch)``'s bit for bit.
 
 Both randomized studies sample through one generator, ``_sample``, which
 gives attempt k under a study's spawn key the integer seed
@@ -47,13 +52,13 @@ from .channels import (
     STANDARD_KINDS,
     Trajectory,
     _check_trace_residuals,
+    _closed_forms,
     _dilation_kraus_stack,
-    _standard_kraus,
+    _standard_stacks,
     _trace_residuals,
-    closed_form_du,
 )
 from .du import _ROUTES, DEFAULT_RESTARTS, _du_stack, _DuStack
-from .linalg import _BOOLS, _require_at_least
+from .linalg import _require_at_least, _require_real
 
 CHANNEL_FAMILIES = STANDARD_KINDS
 
@@ -93,45 +98,68 @@ class Table1Report:
 def run_table1(grid: int = 51, restarts: int = DEFAULT_RESTARTS) -> Table1Report:
     """DU vs closed form for every standard family over a grid of
     ``grid`` >= 1 points, each row's value and method those of
-    ``du(standard_channel(family, p))``. Every family is a qubit channel,
-    which takes an exact route and never ascends, so ``restarts`` changes
-    no value or method; it is still validated (an integer >= 0), and kept
-    because perfbench reads its default, du's, from the signature."""
+    ``du(standard_channel(family, p))``.
+
+    Each family's Kraus sets and closed forms are built over the whole grid
+    at once, by the family builder that :func:`standard_channel` runs on a
+    grid of one and by the array code of :func:`closed_form_du`; the sets of
+    each Kraus count, from every family, then go through the DU core as one
+    stack. Every family is a qubit channel, which takes an exact route and
+    never ascends, so ``restarts`` changes no value or method; it is still
+    validated (an integer >= 0), and kept because perfbench reads its
+    default, du's, from the signature."""
     _require_at_least("grid", grid, 1)
-    grid_points = np.linspace(0.0, 1.0, grid).tolist()
-    points = [(family, p) for family in CHANNEL_FAMILIES for p in grid_points]
-    values, routes = _du_channels([_standard_kraus(*point) for point in points], restarts)
-    refs = [closed_form_du(*point) for point in points]
-    rows = [
-        Table1Row(family, p, value, ref, abs(value - ref), _ROUTES[route])
-        for (family, p), ref, value, route in zip(points, refs, values.tolist(), routes.tolist())
-    ]
-    return Table1Report(rows=tuple(rows), max_abs_error=max(r.error for r in rows))
+    params = np.linspace(0.0, 1.0, grid)
+    pieces: dict[int, list] = {}  # Kraus count -> (row indices, stack) pairs
+    for f, family in enumerate(CHANNEL_FAMILIES):
+        for idx, kraus in _standard_stacks(family, params):
+            pieces.setdefault(kraus.shape[1], []).append((idx + f * grid, kraus))
+    groups = [tuple(map(np.concatenate, zip(*parts))) for parts in pieces.values()]
+    values, routes = _du_groups(groups, len(CHANNEL_FAMILIES) * grid, restarts)
+    refs = np.concatenate([_closed_forms(family, params) for family in CHANNEL_FAMILIES])
+    errors = np.abs(values - refs)
+    columns = (  # field order
+        [family for family in CHANNEL_FAMILIES for _ in range(grid)],
+        params.tolist() * len(CHANNEL_FAMILIES),
+        values.tolist(),
+        refs.tolist(),
+        errors.tolist(),
+        [_ROUTES[route] for route in routes.tolist()],
+    )
+    return Table1Report(rows=tuple(map(Table1Row._make, zip(*columns))),
+                        max_abs_error=float(errors.max()))
 
 
 def _du_channels(kraus_sets: list, restarts: int) -> tuple[np.ndarray, np.ndarray]:
-    """DU and route (an index into the ``method`` labels) of the channel of
-    each (K, n, n) Kraus array, bit for bit as ``du(KrausChannel(n, kraus),
-    restarts=restarts)`` gives them.
-
-    Every set is checked for trace preservation first; the first that fails,
-    in input order, raises ChannelValidationError. Then each shape's arrays
-    run through the DU core once, as one stack, in which a channel's
-    canonical width is fixed by its shape, as in a stack of one. Every
-    channel is given no generator, as ``du(ch)`` is, so one that ascends
-    draws from its own ``default_rng(0)``.
-    """
+    """DU and route of the channel of each (K, n, n) Kraus array, by
+    :func:`_du_groups` on the arrays stacked by shape."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, kraus in enumerate(kraus_sets):
         groups.setdefault(kraus.shape, []).append(i)
     stacks = [(idx, np.array([kraus_sets[i] for i in idx])) for idx in groups.values()]
-    residuals = np.empty(len(kraus_sets))
-    for idx, kraus in stacks:
+    return _du_groups(stacks, len(kraus_sets), restarts)
+
+
+def _du_groups(groups: list, count: int, restarts: int) -> tuple[np.ndarray, np.ndarray]:
+    """DU and route (an index into the ``method`` labels) of channels
+    0 .. count-1, given as (indices, (B, K, n, n) Kraus stack) pairs that
+    cover each once, bit for bit as ``du(KrausChannel(n, kraus),
+    restarts=restarts)`` gives them.
+
+    Every set is checked for trace preservation first; the first that fails,
+    in index order, raises ChannelValidationError. Then each stack runs
+    through the DU core once, in which a channel's canonical width is fixed
+    by its shape, as in a stack of one. Every channel is given no
+    generator, as ``du(ch)`` is, so one that ascends draws from its own
+    ``default_rng(0)``.
+    """
+    residuals = np.empty(count)
+    for idx, kraus in groups:
         residuals[idx] = _trace_residuals(kraus)
     _check_trace_residuals(residuals)
-    values = np.empty(len(kraus_sets))
-    routes = np.empty(len(kraus_sets), dtype=int)
-    for idx, kraus in stacks:
+    values = np.empty(count)
+    routes = np.empty(count, dtype=int)
+    for idx, kraus in groups:
         s = _du_stack(kraus, [None] * len(idx), restarts)
         values[idx], routes[idx] = s.du, s.route
     return values, routes
@@ -548,8 +576,7 @@ class WitnessReport:
 def run_witness(traj: Trajectory, threshold: float = 1e-6) -> WitnessReport:
     """Compute DU along the trajectory and flag increases above threshold,
     which must be a finite number of at least 0; each value is ``du(ch)``'s."""
-    if isinstance(threshold, _BOOLS) or not (math.isfinite(threshold) and threshold >= 0):
-        raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
+    threshold = _require_real("threshold", threshold, 0.0, False)
     values = _du_channels([ch.kraus for ch in traj.channels], DEFAULT_RESTARTS)[0]
     values.flags.writeable = False
     increases = tuple(
@@ -560,6 +587,6 @@ def run_witness(traj: Trajectory, threshold: float = 1e-6) -> WitnessReport:
         times=traj.times,
         du_values=values,
         increases=increases,
-        threshold=float(threshold),
+        threshold=threshold,
         dim=traj.channels[0].dim,
     )

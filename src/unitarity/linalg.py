@@ -18,6 +18,8 @@ the same unitaries whether they are drawn one at a time or as a stack.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 
 import numpy as np
@@ -44,6 +46,27 @@ def _require_at_least(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number to this package: ``numbers.Real``,
+    not a boolean, and so not a string, though float() would parse one."""
+    # float and int first: they answer without the slower ABC check
+    return not isinstance(value, _BOOLS) and isinstance(value, (float, int, numbers.Real))
+
+
+def _require_real(name: str, value, low: float, strict: bool) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is a real
+    number, finite, and above ``low`` (``strict``) or at least ``low``; a
+    ``low`` of -inf bounds nothing."""
+    try:
+        x = float(value) if _is_real(value) else math.nan
+    except OverflowError:  # an integer or fraction beyond float's range
+        x = math.inf
+    if not (math.isfinite(x) and (x > low if strict else x >= low)):
+        bound = f" {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
+        raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
+    return x
 
 
 def as_matrix(a) -> np.ndarray:

@@ -120,6 +120,24 @@ def qutrit_weyl_depolarizing(p: float) -> KrausChannel:
     return convex_unitary_mixture(weyl, probs)
 
 
+def reference_standard_kraus(kind: str, p: float) -> np.ndarray:
+    """The Kraus set of ``standard_channel(kind, p)`` built for one point,
+    each operator written out from the formula: sqrt(weight) times its Pauli,
+    or amplitude damping's two matrices, an operator whose coefficient is
+    exactly zero omitted. Pins the family builder's output bit for bit."""
+    if kind == "amplitude_damping":
+        e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=np.complex128)
+        e1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=np.complex128)
+        return np.array([e0] if p == 0.0 else [e0, e1])
+    q = 0.25 * p
+    weights = {
+        "depolarizing": (1.0 - 0.75 * p, q, q, q),
+        "bit_flip": (p, 1.0 - p, 0.0, 0.0),
+        "phase_flip": (p, 0.0, 0.0, 1.0 - p),
+    }[kind]
+    return np.array([np.sqrt(np.float64(w)) * op for w, op in zip(weights, PAULIS) if w != 0.0])
+
+
 def reference_table1_rows(grid: int) -> tuple:
     """``run_table1(grid).rows`` by one ``du()`` per grid point, the
     per-channel loop the grouped driver must reproduce bit for bit."""

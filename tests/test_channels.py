@@ -32,8 +32,10 @@ from unitarity import (
 from unitarity.channels import (
     PAULI_X,
     PROPORTIONALITY_TOL,
+    STANDARD_KINDS,
     _canonical_stack,
     _dilation_kraus_stack,
+    _standard_stacks,
     _trace_residuals,
     _unitary_multiples,
 )
@@ -43,6 +45,7 @@ from helpers import (
     random_mixed_unitary_channel,
     random_su2,
     reference_dilation_kraus,
+    reference_standard_kraus,
     reference_unitary_multiples,
 )
 
@@ -552,6 +555,25 @@ class TestStandardChannels:
     def test_trace_preserving_across_grid(self, kind):
         for p in np.linspace(0.0, 1.0, 11):
             assert validate(standard_channel(kind, float(p))).passed
+
+    @pytest.mark.parametrize("kind", STANDARD_KINDS)
+    def test_family_builder_matches_each_point(self, kind):
+        # whole-grid stacks, grouped by which operators have a nonzero
+        # coefficient, hold each point's Kraus set bit for bit; at 5e-324
+        # p/4 rounds to 0, so depolarizing keeps only its identity term
+        params = np.concatenate([np.linspace(0.0, 1.0, 51), [5e-324, 1e-300, 1.0 - 2**-53]])
+        seen = []
+        for idx, kraus in _standard_stacks(kind, params):
+            assert kraus.dtype == np.complex128 and kraus.shape[2:] == (2, 2)
+            assert idx.tolist() == sorted(idx.tolist()) and len(idx) == len(kraus)
+            for i, ops in zip(idx.tolist(), kraus):
+                assert ops.tobytes() == reference_standard_kraus(kind, params[i]).tobytes()
+                ch = standard_channel(kind, float(params[i]))
+                assert ch.kraus.tobytes() == ops.tobytes()
+            seen += idx.tolist()
+        assert sorted(seen) == list(range(len(params)))
+        if kind == "depolarizing":
+            assert standard_channel(kind, 5e-324).n_ops == 1
 
     def test_rejects_bad_param(self):
         with pytest.raises(ValueError):

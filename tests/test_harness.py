@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from unitarity import (
     standard_channel,
     validate,
 )
-from unitarity.channels import STANDARD_KINDS
+from unitarity.channels import STANDARD_KINDS, _closed_forms
 from unitarity.cli import main
 from unitarity.du import _ROUTES, _du_stack
 from unitarity.harness import (
@@ -205,6 +206,28 @@ class TestBooleansAreNotNumbers:
         assert str(raised.value) == f"times must be numbers, not booleans, got {times!r}"
 
 
+class TestStringsAreNotNumbers:
+    """A numeric string is no real number either, though float() parses it:
+    each check raises the ValueError that names its parameter."""
+
+    def test_trajectory_times(self):
+        times = ("0", "1e0")
+        with pytest.raises(ValueError) as raised:
+            Trajectory(times, (identity_channel(2), identity_channel(2)))
+        assert str(raised.value) == f"times must be numbers, not booleans, got {times!r}"
+
+    def test_validate_tol(self):
+        with pytest.raises(ValueError) as raised:
+            validate(identity_channel(2), tol="1e-9")
+        assert str(raised.value) == "tol must be a finite number > 0, got '1e-9'"
+
+    def test_witness_threshold(self):
+        traj = Trajectory((0.0, 1.0), (identity_channel(2), identity_channel(2)))
+        with pytest.raises(ValueError) as raised:
+            run_witness(traj, threshold="0")
+        assert str(raised.value) == "threshold must be a finite number >= 0, got '0'"
+
+
 def test_report_flags_and_thresholds_are_python_scalars():
     # a numpy tolerance or an integer threshold is stored as a plain bool or float
     report = validate(identity_channel(2), tol=np.float64(1e-9))
@@ -313,6 +336,37 @@ class TestTable1:
         report = run_table1(grid=grid)
         assert report.rows == reference
         assert report.max_abs_error == max(r.error for r in report.rows)
+
+    @pytest.mark.parametrize("grid", [1, 2, 51])
+    def test_one_family_build_per_family(self, grid, monkeypatch):
+        # each family's Kraus sets come from one whole-grid builder call,
+        # whatever the grid, never one call per point
+        calls = []
+        build = harness._standard_stacks
+
+        def counting(kind, params):
+            calls.append((kind, len(params)))
+            return build(kind, params)
+
+        monkeypatch.setattr(harness, "_standard_stacks", counting)
+        assert run_table1(grid=grid).rows == reference_table1_rows(grid)
+        assert calls == [(family, grid) for family in CHANNEL_FAMILIES]
+
+    @pytest.mark.parametrize("grid", [1, 51, 59])
+    def test_closed_form_arrays_match_the_scalar(self, grid):
+        params = np.linspace(0.0, 1.0, grid)
+        for kind in STANDARD_KINDS:
+            scalar = [closed_form_du(kind, p) for p in params.tolist()]
+            assert all(type(v) is float for v in scalar)
+            assert _closed_forms(kind, params).tobytes() == np.array(scalar).tobytes()
+
+    @pytest.mark.parametrize("param", [0.3275862068965517, 0.45901639344262296, 0.36])
+    def test_amplitude_damping_square_is_correctly_rounded(self, param):
+        # (1 + sqrt(1 - g))^2 / 4 squares the rounded 1 + sqrt(1 - g) with one
+        # rounding, x * x; libm's pow(x, 2) is 1 ulp off at the first two
+        # points, which grids 59 and 62 hold
+        x = 1.0 + math.sqrt(1.0 - param)
+        assert closed_form_du("amplitude_damping", param) == float(Fraction(x) ** 2 / 4)
 
     def test_default_generator_is_built_only_to_ascend(self, monkeypatch):
         # a channel given no generator draws its Haar starts from
@@ -767,7 +821,7 @@ class TestWitness:
             Trajectory(times=(0.0,), channels=(ch, ch))
         with pytest.raises(ValueError):
             Trajectory(times=(), channels=())
-        for bad in (math.nan, math.inf):
+        for bad in (math.nan, math.inf, 10**400):
             with pytest.raises(ValueError, match="finite"):
                 Trajectory(times=(0.0, bad), channels=(ch, ch))
         with pytest.raises(ValueError, match=re.escape("channels have mixed dims [2, 3]")):

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from unitarity import linalg
 from unitarity.linalg import (
+    _require_real,
     _svd_polar,
     _svd_polar_2x2,
     as_matrix,
@@ -262,3 +264,31 @@ def test_unitarity_defect_rejects_a_non_square_matrix():
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
         unitarity_defect(np.ones((2, 3)))
     assert type(raised.value) is ValueError
+
+
+class TestRequireReal:
+    """The one real-number rule: numbers.Real but no boolean, finite, at or
+    above its bound, returned as a float."""
+
+    @pytest.mark.parametrize("value", [0.5, 1, np.float32(0.5), np.int64(2), Fraction(1, 4)])
+    def test_accepts_real_numbers(self, value):
+        got = _require_real("x", value, 0.0, True)
+        assert type(got) is float and got == float(value)
+
+    @pytest.mark.parametrize(
+        "value", [True, np.False_, "0.5", None, 1 + 0j, np.nan, -np.inf, 10**400, -1e-300, 0.0]
+    )
+    def test_rejects_with_one_message(self, value):
+        with pytest.raises(ValueError) as raised:
+            _require_real("x", value, 0.0, True)
+        assert str(raised.value) == f"x must be a finite number > 0, got {value!r}"
+
+    def test_a_bound_that_is_not_strict_admits_itself(self):
+        assert _require_real("x", 0, 0.0, False) == 0.0
+        with pytest.raises(ValueError, match=r"^x must be a finite number >= -1, got -2$"):
+            _require_real("x", -2, -1.0, False)
+
+    def test_a_bound_of_minus_infinity_asks_for_finiteness_alone(self):
+        assert _require_real("x", -1e300, -np.inf, False) == -1e300
+        with pytest.raises(ValueError, match=r"^x must be a finite number, got -inf$"):
+            _require_real("x", -np.inf, -np.inf, False)
