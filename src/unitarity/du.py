@@ -45,7 +45,12 @@ the whole stack:
    and the winner is chosen among those too, so it is never a retired start
    and its sweep count and convergence flag are its own. A retired start
    was behind a start whose objective only rises, so the value never falls
-   below the objective any start had when it retired.
+   below the objective any start had when it retired. Once a channel's
+   leader, its best start that has not retired this way, has converged, a
+   start still climbing retires as a straggler when it trails the leader by
+   more than STRAGGLER_RATIO (10) times its last sweep's gain: it is
+   behind the leader, so it is never the winner, and only one that would
+   have overtaken the leader could have changed the result.
 
 The stages fill one record, :class:`_DuStack`: stage 2 its bound fields,
 then :func:`_du_stack` each channel's route, decided once, and its DU
@@ -90,6 +95,16 @@ CONVERGENCE_TOL = 1e-12
 # n = 3..8, against a 14% radius (1e-2), no value fell by more than 1e-9 at
 # this radius; at 2e-1 three did.
 DUPLICATE_TOL = 1e-1
+# Once a channel's leader (its best start that never joined, ties to the
+# lowest index) has converged, a start still ascending retires as a
+# straggler when it trails the leader by more than STRAGGLER_RATIO times its
+# last sweep's gain delta: a sweep contracting at rate rho gains at most
+# delta rho / (1 - rho) more, so 10 assumes rho <= 0.91. At 10 no value
+# moved over the 3248 channels that sized DEFAULT_RESTARTS nor over the
+# 880 of perfbench's n = 4 and 8 pools. On two pool channels a start still
+# climbing when its leader converged later overtook it; it then trailed by
+# 2.7 and 3.6 times its gain, so a ratio of 3 loses one of those values.
+STRAGGLER_RATIO = 10.0
 MAX_ITERATIONS = 10_000
 # Haar starts after the two warm starts (the lb1 and lb2 witnesses). Over
 # 3248 random channels at n = 3..8 (env in {2, 3, n, 2n, n^2/2}), against
@@ -116,10 +131,11 @@ class DuResult:
     ``iterations`` is the winning start's own sweep count, a Newton step
     counting as one sweep (0 on the exact routes), and ``objective_trace``,
     when requested, that start's objective before and after each sweep.
-    ``sweeps_total`` is the polar factors of all starts together, one per
-    sweep or Newton step and two for a Newton step replaced by a polar
-    sweep: the ascent's real cost (0 on the exact routes). ``witness`` is a
-    read-only (n, n) complex128 array.
+    ``sweeps_total`` is the polar factors of all starts together, each up to
+    the sweep in which it converged or retired, one per sweep or Newton step
+    and two for a Newton step replaced by a polar sweep: the ascent's real
+    cost (0 on the exact routes). ``witness`` is a read-only (n, n)
+    complex128 array.
     """
 
     value: float
@@ -357,10 +373,11 @@ def _ascend(
     A Newton step that does not raise f, or whose system cannot be solved,
     is replaced in the same sweep by the polar sweep, and the start takes
     polar sweeps from then on; such a step counts as one sweep and two
-    polar factors, and its gain is the polar sweep's. A start retires once
-    its objective f improves by less than CONVERGENCE_TOL * max(1, f) in a
-    sweep, after MAX_ITERATIONS sweeps, or once it has joined a better
-    start: after each sweep, a start whose unitary is near, up to a global
+    polar factors, and its gain is the polar sweep's. A start stops in one
+    of three ways. It converges once its objective f improves by less than
+    CONVERGENCE_TOL * max(1, f) in a sweep (or the loop ends after
+    MAX_ITERATIONS sweeps). It joins a better start: after each sweep, a
+    start whose unitary is near, up to a global
     phase, one of its channel's starts that has not joined another
     (|<U_a, U_b>| > n (1 - DUPLICATE_TOL), a Frobenius distance below
     sqrt(2 DUPLICATE_TOL) ||U||_F, about 45% of ||U||_F) and is ahead of it
@@ -370,7 +387,17 @@ def _ascend(
     are its own ascent's; the start ahead of all others that have not
     joined never joins, so every channel keeps one. Each joined start was
     behind one that had not joined, whose f only rises, so the winner's f
-    is at least every joined start's f when it joined.
+    is at least every joined start's f when it joined. Or it retires as a
+    straggler: after the join test, in a channel whose leader (its best
+    start that never joined, ties to the lowest index, as for the winner)
+    has converged, a start still ascending whose f trails the leader's by
+    more than STRAGGLER_RATIO times its last sweep's gain stops. A
+    straggler is neither joined nor converged. It is strictly behind the
+    leader, and the best f among the starts that never joined never falls,
+    so a straggler is never the winner; only a straggler that would
+    have climbed past the leader could have changed the result. Every rule
+    reads only its own channel's starts, so a channel's result does not
+    depend on the other channels of the stack.
 
     Returns, for each channel's winner, its DU, its unitary, its own sweep
     count, whether it converged, and with ``want_trace`` a tuple of its
@@ -389,6 +416,7 @@ def _ascend(
     f = (np.abs(ov) ** 2).sum(axis=-1).ravel()
     sweeps = np.zeros(a * p, dtype=int)
     fallbacks = np.zeros(a * p, dtype=int)  # polar sweeps that replaced a Newton step
+    gain = np.zeros(a * p)  # each start's gain in its last sweep
     active = np.ones(a * p, dtype=bool)
     joined = np.zeros((a, p), dtype=bool)
     earlier = np.tri(p, k=-1, dtype=bool)  # [a, b]: b < a
@@ -452,6 +480,17 @@ def _ascend(
         joins = (same & ahead & ~joined[live][:, None, :]).any(axis=2)
         joined[live] |= joins
         by_channel[live] &= ~joins
+        # stragglers: starts still ascending behind a leader that has converged;
+        # the lag is divided by the ratio, so that an infinite ratio retires no
+        # start whose last sweep gained
+        gain[idx] = delta
+        rows = np.arange(len(f_live))
+        lead = np.argmax(np.where(joined[live], -np.inf, f_live), axis=1)
+        settled = ~by_channel[live][rows, lead]
+        if settled.any():
+            lag = f_live[rows, lead][:, None] - f_live
+            by_channel[live] &= ~(settled[:, None]
+                                  & (lag / STRAGGLER_RATIO > gain.reshape(a, p)[live]))
         if want_trace:
             history.append(f.copy())
     best = np.argmax(np.where(joined, -np.inf, f.reshape(a, p)), axis=1) + p * np.arange(a)
@@ -486,7 +525,9 @@ def du_optimize(
     warm starts; a start is converged when its objective f improves by less
     than CONVERGENCE_TOL * max(1, f) in a sweep (a polar sweep or, at
     n <= NEWTON_MAX_DIM, a Newton step) before MAX_ITERATIONS sweeps, and
-    retires early once it joins a better start (see :func:`_ascend`).
+    retires early once it joins a better start, or once its channel's
+    leading start has converged and it trails that start by more than
+    STRAGGLER_RATIO times its last gain (see :func:`_ascend`).
     ``converged`` reports the best run's own flag.
     With ``trace=True`` the best run's objective sequence is attached.
     The DU core on a stack of one with the channel routed to the ascent,
