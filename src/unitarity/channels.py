@@ -83,10 +83,7 @@ class Trajectory:
     channels: tuple[KrausChannel, ...]
 
     def __post_init__(self):
-        times = tuple(self.times)
-        if not all(map(_is_real, times)):
-            raise ValueError(f"times must be numbers, not booleans, got {times!r}")
-        times = tuple(_require_real("times", t, -math.inf, False) for t in times)
+        times = tuple(_require_real("times", t, -math.inf, False) for t in self.times)
         if not times:
             raise ValueError("expected at least one time point")
         if len(times) != len(self.channels):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -33,6 +32,7 @@ from .io import (
     write_table1_csv,
     write_tightness_csv,
 )
+from .linalg import _require_at_least, _require_real
 
 
 def _cmd_validate(args) -> int:
@@ -149,27 +149,18 @@ def _cmd_witness(args) -> int:
     return 0
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+def _checked(convert, *bounds):
+    """argparse type: the text as ``convert`` (int or float) gives it, held to
+    the library's rule for that type and ``bounds`` under the name "value"."""
+    rule = _require_at_least if convert is int else _require_real
+    def parse(text: str):
+        value = convert(text)
+        try:
+            rule("value", value, *bounds)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
-    return parse
-
-
-def _finite_float(low: float, strict: bool):
-    """argparse type: a finite float above ``low`` (``strict``) or at least ``low``."""
-    relation = ">" if strict else ">="
-    def parse(text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value) or value < low or (strict and value == low):
-            raise argparse.ArgumentTypeError(
-                f"must be a finite number {relation} {low:g}, got {text}")
-        return value
-    parse.__name__ = "float"  # argparse names the type in "invalid float value"
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
     return parse
 
 
@@ -181,7 +172,7 @@ def _dim_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError("expected at least one dimension")
     if not all(tokens):
         raise argparse.ArgumentTypeError(f"expected no empty entries, got {text}")
-    dims = [_int_at_least(1)(tok) for tok in tokens]
+    dims = [_checked(int, 1)(tok) for tok in tokens]
     if len(set(dims)) < len(dims):
         raise argparse.ArgumentTypeError(f"expected distinct dimensions, got {text}")
     return dims
@@ -198,12 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check trace preservation of a channel file")
     p.add_argument("channel", help="channel JSON file")
-    p.add_argument("--tol", type=_finite_float(0.0, strict=True), default=TRACE_PRESERVATION_TOL)
+    p.add_argument("--tol", type=_checked(float, 0.0, True), default=TRACE_PRESERVATION_TOL)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("du", help="degree of unitarity of a channel file")
     p.add_argument("channel", help="channel JSON file")
-    p.add_argument("--restarts", type=_int_at_least(0), default=DEFAULT_RESTARTS)
+    p.add_argument("--restarts", type=_checked(int, 0), default=DEFAULT_RESTARTS)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_du)
 
@@ -212,25 +203,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("table1", help="closed-form benchmark over parameter grids")
-    p.add_argument("--grid", type=_int_at_least(1), default=51)
+    p.add_argument("--grid", type=_checked(int, 1), default=51)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("tightness", help="bound-tightness study on random channels")
-    p.add_argument("--samples", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=_int_at_least(0), required=True)
+    p.add_argument("--samples", type=_checked(int, 1), required=True)
+    p.add_argument("--seed", type=_checked(int, 0), required=True)
     p.add_argument("--stratified", action="store_true")
-    p.add_argument("--env-dim", type=_int_at_least(1), default=2)
-    p.add_argument("--attempt-cap", type=_int_at_least(1), default=1_000_000,
+    p.add_argument("--env-dim", type=_checked(int, 1), default=2)
+    p.add_argument("--attempt-cap", type=_checked(int, 1), default=1_000_000,
                    help="attempt budget of --stratified; without it every attempt is recorded")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=_cmd_tightness)
 
     p = sub.add_parser("distribution", help="DU distribution of random channels")
-    p.add_argument("--samples", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=_int_at_least(0), required=True)
+    p.add_argument("--samples", type=_checked(int, 1), required=True)
+    p.add_argument("--seed", type=_checked(int, 0), required=True)
     p.add_argument("--env-dims", type=_dim_list, default="2,4")
-    p.add_argument("--bins", type=_int_at_least(1), default=30)
+    p.add_argument("--bins", type=_checked(int, 1), default=30)
     p.add_argument("--du-column", choices=("dispatcher", "lb1"), default="dispatcher",
                    help="bin the DU value (dispatcher) or the first lower bound (lb1)")
     p.add_argument("--out", help="CSV output base path (one file per env dim)")
@@ -238,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="non-Markovianity witness along a trajectory")
     p.add_argument("trajectory", help="trajectory JSON file")
-    p.add_argument("--threshold", type=_finite_float(0.0, strict=False), default=1e-6)
+    p.add_argument("--threshold", type=_checked(float, 0.0, False), default=1e-6)
     p.set_defaults(func=_cmd_witness)
 
     return parser

@@ -61,6 +61,11 @@ for every channel (the reference the exact routes are tested against). The
 drivers of :mod:`unitarity.harness` feed the pipeline whole stacks: the
 bulk samplers a chunk at a time, the closed-form table and the witness one
 stack per Kraus-stack shape.
+
+The package re-exports the function :func:`du`, which shadows this module,
+so ``import unitarity.du as m`` binds the function and ``m.STRAGGLER_RATIO
+= 2`` changes nothing. Reach the module by ``importlib.import_module(
+"unitarity.du")``, or its names by ``from unitarity.du import NAME``.
 """
 
 from __future__ import annotations

@@ -11,12 +11,13 @@ The table builds each standard family's sets over its whole grid with one
 call of the family builder that :func:`~unitarity.standard_channel` runs on
 a grid of one, and its closed forms with the array code of
 :func:`~unitarity.closed_form_du`; the witness stacks its trajectory's
-``.kraus`` arrays by shape. Both check every set for trace preservation,
-then run one stack per array shape (n_ops, dim, dim). Each channel is given
-no generator, as in ``du(ch)``, so the DU core builds
-``np.random.default_rng(0)`` for a channel only when it ascends, and both
-run at ``du``'s default restarts, so each value and ``method`` label is
-``du(ch)``'s bit for bit.
+``.kraus`` arrays by shape. Only handed-in sets, the witness's, are checked
+for trace preservation, all first and in trajectory order; sets the library
+builds (the table's, the samplers') go straight to the DU core. Both run one
+stack per array shape (n_ops, dim, dim). Each channel is given no generator,
+as in ``du(ch)``, so the DU core builds ``np.random.default_rng(0)`` for a
+channel only when it ascends, and both run at ``du``'s default restarts, so
+each value and ``method`` label is ``du(ch)``'s bit for bit.
 
 Both randomized studies sample through one generator, ``_sample``, which
 gives attempt k under a study's spawn key the integer seed
@@ -103,19 +104,24 @@ def run_table1(grid: int = 51, restarts: int = DEFAULT_RESTARTS) -> Table1Report
     Each family's Kraus sets and closed forms are built over the whole grid
     at once, by the family builder that :func:`standard_channel` runs on a
     grid of one and by the array code of :func:`closed_form_du`; the sets of
-    each Kraus count, from every family, then go through the DU core as one
-    stack. Every family is a qubit channel, which takes an exact route and
-    never ascends, so ``restarts`` changes no value or method; it is still
-    validated (an integer >= 0), and kept because perfbench reads its
-    default, du's, from the signature."""
+    each Kraus count, from every family, then go straight to the DU core as
+    one stack: the builder's weights sum to 1, so no set is re-checked for
+    trace preservation. Every family is a qubit channel, which takes an
+    exact route and never ascends, so ``restarts`` changes no value or
+    method; it is still validated (an integer >= 0), and kept because
+    perfbench reads its default, du's, from the signature."""
     _require_at_least("grid", grid, 1)
     params = np.linspace(0.0, 1.0, grid)
     pieces: dict[int, list] = {}  # Kraus count -> (row indices, stack) pairs
     for f, family in enumerate(CHANNEL_FAMILIES):
         for idx, kraus in _standard_stacks(family, params):
             pieces.setdefault(kraus.shape[1], []).append((idx + f * grid, kraus))
-    groups = [tuple(map(np.concatenate, zip(*parts))) for parts in pieces.values()]
-    values, routes = _du_groups(groups, len(CHANNEL_FAMILIES) * grid, restarts)
+    values = np.empty(len(CHANNEL_FAMILIES) * grid)
+    routes = np.empty(len(values), dtype=int)
+    for parts in pieces.values():
+        idx, kraus = map(np.concatenate, zip(*parts))
+        s = _du_stack(kraus, [None] * len(idx), restarts)
+        values[idx], routes[idx] = s.du, s.route
     refs = np.concatenate([_closed_forms(family, params) for family in CHANNEL_FAMILIES])
     errors = np.abs(values - refs)
     columns = (  # field order
@@ -130,39 +136,24 @@ def run_table1(grid: int = 51, restarts: int = DEFAULT_RESTARTS) -> Table1Report
                         max_abs_error=float(errors.max()))
 
 
-def _du_channels(kraus_sets: list, restarts: int) -> tuple[np.ndarray, np.ndarray]:
-    """DU and route of the channel of each (K, n, n) Kraus array, by
-    :func:`_du_groups` on the arrays stacked by shape."""
+def _du_channels(kraus_sets: list, restarts: int) -> np.ndarray:
+    """DU of the channel of each handed-in (K, n, n) Kraus array, bit for bit
+    ``du(KrausChannel(n, kraus), restarts=restarts)``'s. Every set is checked
+    for trace preservation first (the first failure in list order raises
+    ChannelValidationError), then each stack of one shape runs through the
+    DU core once, every channel with no generator, as in ``du(ch)``."""
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, kraus in enumerate(kraus_sets):
         groups.setdefault(kraus.shape, []).append(i)
     stacks = [(idx, np.array([kraus_sets[i] for i in idx])) for idx in groups.values()]
-    return _du_groups(stacks, len(kraus_sets), restarts)
-
-
-def _du_groups(groups: list, count: int, restarts: int) -> tuple[np.ndarray, np.ndarray]:
-    """DU and route (an index into the ``method`` labels) of channels
-    0 .. count-1, given as (indices, (B, K, n, n) Kraus stack) pairs that
-    cover each once, bit for bit as ``du(KrausChannel(n, kraus),
-    restarts=restarts)`` gives them.
-
-    Every set is checked for trace preservation first; the first that fails,
-    in index order, raises ChannelValidationError. Then each stack runs
-    through the DU core once, in which a channel's canonical width is fixed
-    by its shape, as in a stack of one. Every channel is given no
-    generator, as ``du(ch)`` is, so one that ascends draws from its own
-    ``default_rng(0)``.
-    """
-    residuals = np.empty(count)
-    for idx, kraus in groups:
+    residuals = np.empty(len(kraus_sets))
+    for idx, kraus in stacks:
         residuals[idx] = _trace_residuals(kraus)
     _check_trace_residuals(residuals)
-    values = np.empty(count)
-    routes = np.empty(count, dtype=int)
-    for idx, kraus in groups:
-        s = _du_stack(kraus, [None] * len(idx), restarts)
-        values[idx], routes[idx] = s.du, s.route
-    return values, routes
+    values = np.empty(len(kraus_sets))
+    for idx, kraus in stacks:
+        values[idx] = _du_stack(kraus, [None] * len(idx), restarts).du
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +568,7 @@ def run_witness(traj: Trajectory, threshold: float = 1e-6) -> WitnessReport:
     """Compute DU along the trajectory and flag increases above threshold,
     which must be a finite number of at least 0; each value is ``du(ch)``'s."""
     threshold = _require_real("threshold", threshold, 0.0, False)
-    values = _du_channels([ch.kraus for ch in traj.channels], DEFAULT_RESTARTS)[0]
+    values = _du_channels([ch.kraus for ch in traj.channels], DEFAULT_RESTARTS)
     values.flags.writeable = False
     increases = tuple(
         WitnessIncrease(index=i, t_from=traj.times[i], t_to=traj.times[i + 1], delta=delta)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -100,6 +101,19 @@ def test_deleted_exact_route_name_is_an_attribute_error(name):
     for module in (unitarity, DU_MODULE):
         with pytest.raises(AttributeError):
             getattr(module, name)
+
+
+def test_unitarity_du_is_the_function_not_the_module():
+    # the package re-exports du(), which shadows the submodule as an
+    # attribute: "import unitarity.du as m" binds the function, so setting a
+    # constant on m changes nothing; importlib and "from ... import" reach
+    # the module
+    import unitarity.du as shadowed
+    from unitarity.du import DEFAULT_RESTARTS
+
+    module = importlib.import_module("unitarity.du")
+    assert shadowed is module.du and not hasattr(shadowed, "STRAGGLER_RATIO")
+    assert module is DU_MODULE and DEFAULT_RESTARTS == module.DEFAULT_RESTARTS == 16
 
 
 def test_canonical_kraus_fields():

@@ -575,6 +575,13 @@ class TestStandardChannels:
         if kind == "depolarizing":
             assert standard_channel(kind, 5e-324).n_ops == 1
 
+    @pytest.mark.parametrize("kind", STANDARD_KINDS)
+    def test_family_builder_is_trace_preserving(self, kind):
+        # run_table1 does not re-check the builder's sets: their weights sum to 1
+        params = np.concatenate([np.linspace(0.0, 1.0, 1001), [5e-324, 0.5, 1.0 - 2**-53]])
+        for _, kraus in _standard_stacks(kind, params):
+            assert _trace_residuals(kraus).max() <= 1e-15
+
     def test_rejects_bad_param(self):
         with pytest.raises(ValueError):
             standard_channel("bit_flip", 1.5)

@@ -18,6 +18,7 @@ from unitarity.io import (
     save_channel,
     trajectory_from_obj,
 )
+from unitarity.linalg import _require_at_least, _require_real
 
 from helpers import DU_MODULE
 
@@ -279,7 +280,7 @@ class TestArgumentRanges:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: unitarity")
-        assert f"argument {flag}: must be >=" in err
+        assert f"argument {flag}: value must be >=" in err
 
     @pytest.mark.parametrize("env_dims", [",", ""], ids=["comma", "empty"])
     def test_empty_env_dims_is_a_usage_error(self, env_dims, capsys):
@@ -331,7 +332,7 @@ class TestArgumentRanges:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: unitarity")
-        assert f"argument {flag}: must be a finite number" in err
+        assert f"argument {flag}: value must be a finite number" in err
 
     def test_lower_limits_accepted(self, ad_file, capsys):
         assert main(["du", ad_file, "--restarts", "0"]) == 0
@@ -340,6 +341,71 @@ class TestArgumentRanges:
         assert main(["distribution", "--samples", "1", "--seed", "1", "--env-dims", "1",
                      "--bins", "1"]) == 0
         assert main(["validate", ad_file, "--tol", "1e-3"]) == 0
+
+
+# Every numeric flag, as (argv with "{}" where the value goes, the library
+# rule's bound: an int's lowest value, or a float's bound and whether it is
+# strict). The value is joined to its flag by "=", as argparse would read
+# "-5e-324" on its own as an option.
+_TIGHT = ["tightness", "--samples", "1", "--seed", "0"]
+_DIST = ["distribution", "--samples", "1", "--seed", "0"]
+NUMERIC_FLAGS = {
+    "grid": (["table1", "--grid={}"], (1,)),
+    "tightness-samples": (["tightness", "--samples={}", "--seed", "0"], (1,)),
+    "tightness-seed": (["tightness", "--samples", "1", "--seed={}"], (0,)),
+    "env-dim": (_TIGHT + ["--env-dim={}"], (1,)),
+    "attempt-cap": (_TIGHT + ["--attempt-cap={}"], (1,)),
+    "distribution-samples": (["distribution", "--samples={}", "--seed", "0"], (1,)),
+    "distribution-seed": (["distribution", "--samples", "1", "--seed={}"], (0,)),
+    "bins": (_DIST + ["--bins={}"], (1,)),
+    "env-dims-first": (_DIST + ["--env-dims={},2"], (1,)),
+    "env-dims-last": (_DIST + ["--env-dims=2,{}"], (1,)),
+    "restarts": (["du", "channel.json", "--restarts={}"], (0,)),
+    "tol": (["validate", "channel.json", "--tol={}"], (0.0, True)),
+    "threshold": (["witness", "traj.json", "--threshold={}"], (0.0, False)),
+}
+
+
+def _flag_cases():
+    """(argv template, bound, value text, whether it parses) for every numeric
+    flag: an int just below and at its bound; a float's smallest rejected and
+    accepted values around its bound, and nan, inf and 1e400 (inf once parsed)."""
+    for name, (template, bound) in NUMERIC_FLAGS.items():
+        if len(bound) == 1:
+            texts = [(str(bound[0] - 1), False), (str(bound[0]), True)]
+        else:  # the smallest subnormal either side of 0
+            texts = [("0", not bound[1]), ("-5e-324", False), ("5e-324", True),
+                     ("nan", False), ("inf", False), ("1e400", False)]
+        for text, ok in texts:
+            yield pytest.param(template, bound, text, ok, id=f"{name}-{text}")
+
+
+class TestOneCopyOfEachRange:
+    """The CLI holds every numeric flag to the library's own rule, under the
+    name "value": a usage error reads ``argument FLAG: `` and then exactly
+    what ``_require_at_least`` or ``_require_real`` raises."""
+
+    @pytest.mark.parametrize("template, bound, text, ok", _flag_cases())
+    def test_flag_applies_the_library_rule(self, template, bound, text, ok, capsys):
+        argv = [arg.format(text) for arg in template]
+        flag = next(arg for arg in template if "{}" in arg).split("=")[0]
+        dest = flag[2:].replace("-", "_")
+        if len(bound) == 1:
+            value, rule = int(text), _require_at_least
+        else:
+            value, rule = float(text), _require_real
+        if ok:
+            parsed = getattr(build_parser().parse_args(argv), dest)
+            assert value in parsed if dest == "env_dims" else parsed == value
+            return
+        with pytest.raises(ValueError) as raised:
+            rule("value", value, *bound)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: unitarity")
+        assert err[-1].endswith(f": error: argument {flag}: {raised.value}")
 
 
 class TestRemovedRestarts:

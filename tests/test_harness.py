@@ -203,7 +203,21 @@ class TestBooleansAreNotNumbers:
         times = (flag, 2.0)
         with pytest.raises(ValueError) as raised:
             Trajectory(times, (identity_channel(2), identity_channel(2)))
-        assert str(raised.value) == f"times must be numbers, not booleans, got {times!r}"
+        assert str(raised.value) == f"times must be a finite number, got {flag!r}"
+
+
+@pytest.mark.parametrize("times, bad", [
+    ((0.0, None), None),
+    ((0.0, 1 + 2j), 1 + 2j),
+    (("0", "1e0"), "0"),
+    ((True, 2.0), True),
+], ids=["none", "complex", "strings", "boolean"])
+def test_trajectory_times_message_names_the_element(times, bad):
+    # one pass of the real-number rule over the times: its message names the
+    # first element that is not a finite real number
+    with pytest.raises(ValueError) as raised:
+        Trajectory(times, (identity_channel(2), identity_channel(2)))
+    assert str(raised.value) == f"times must be a finite number, got {bad!r}"
 
 
 class TestStringsAreNotNumbers:
@@ -214,7 +228,7 @@ class TestStringsAreNotNumbers:
         times = ("0", "1e0")
         with pytest.raises(ValueError) as raised:
             Trajectory(times, (identity_channel(2), identity_channel(2)))
-        assert str(raised.value) == f"times must be numbers, not booleans, got {times!r}"
+        assert str(raised.value) == "times must be a finite number, got '0'"
 
     def test_validate_tol(self):
         with pytest.raises(ValueError) as raised:
@@ -336,6 +350,15 @@ class TestTable1:
         report = run_table1(grid=grid)
         assert report.rows == reference
         assert report.max_abs_error == max(r.error for r in report.rows)
+
+    def test_builds_no_trace_residual(self, monkeypatch):
+        # the family builder's sets are trace preserving by construction, so
+        # only handed-in sets (the witness's) are checked
+        def refuse(kraus):
+            raise AssertionError("run_table1 computed a trace residual")
+
+        monkeypatch.setattr(harness, "_trace_residuals", refuse)
+        assert run_table1(grid=51).rows == reference_table1_rows(51)
 
     @pytest.mark.parametrize("grid", [1, 2, 51])
     def test_one_family_build_per_family(self, grid, monkeypatch):
