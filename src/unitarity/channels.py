@@ -355,30 +355,20 @@ _PAULI_WEIGHTS = {
 }
 
 
-def _standard_stacks(kind: str, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _standard_kraus(kind: str, params: np.ndarray) -> np.ndarray:
     """The Kraus sets of :func:`standard_channel` at every parameter of a
-    1-D float array, built in whole-array operations and grouped by which
-    operators have a nonzero coefficient: a list of (indices into
-    ``params``, ascending; (B, K, 2, 2) complex128 stack) pairs. ``kind``
-    and ``params`` are taken as valid."""
+    1-D float array, built in whole-array operations: one (B, 4, 2, 2)
+    complex128 stack, zero where a coefficient is zero and in amplitude
+    damping's unused slots. ``kind`` and ``params`` are taken as valid."""
+    kraus = np.zeros((len(params), 4, 2, 2), dtype=np.complex128)
     if kind == "amplitude_damping":
-        kraus = np.zeros((len(params), 2, 2, 2), dtype=np.complex128)
         kraus[:, 0, 0, 0] = 1.0
         kraus[:, 0, 1, 1] = np.sqrt(1.0 - params)
         kraus[:, 1, 0, 1] = np.sqrt(params)
-        keep = np.ones((len(params), 2), dtype=bool)
-        keep[:, 1] = params != 0.0
     else:
         a, b = _PAULI_WEIGHTS[kind]
-        weights = a + params[:, None] * b
-        keep = weights != 0.0
-        kraus = np.sqrt(weights)[:, :, None, None] * _PAULIS
-    codes = keep @ (1 << np.arange(keep.shape[1]))  # each set's nonzero pattern
-    groups = []
-    for code in sorted(set(codes.tolist())):
-        idx = np.flatnonzero(codes == code)
-        groups.append((idx, kraus[idx][:, keep[idx[0]]]))
-    return groups
+        kraus[:] = np.sqrt(a + params[:, None] * b)[:, :, None, None] * _PAULIS
+    return kraus
 
 
 def standard_channel(kind: str, param: float) -> KrausChannel:
@@ -393,10 +383,11 @@ def standard_channel(kind: str, param: float) -> KrausChannel:
     depolarizing at p = 0 is the single-operator identity channel. A kind
     not in STANDARD_KINDS or a parameter outside [0, 1] is a ValueError.
     The Kraus set is the family builder's on a grid of one, the one that
-    :func:`~unitarity.harness.run_table1` runs over its whole grid.
+    :func:`~unitarity.harness.run_table1` runs over its whole grid, less its
+    zero operators: an operator is zero exactly when its coefficient is.
     """
-    (_, kraus), = _standard_stacks(kind, np.array([_check_standard(kind, param)]))
-    return KrausChannel(2, kraus[0])
+    ops = _standard_kraus(kind, np.array([_check_standard(kind, param)]))[0]
+    return KrausChannel(2, ops[ops.any(axis=(1, 2))])
 
 
 def _closed_forms(kind: str, p: np.ndarray) -> np.ndarray:

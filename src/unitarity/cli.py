@@ -154,13 +154,15 @@ def _checked(convert, *bounds):
     the library's rule for that type and ``bounds`` under the name "value"."""
     rule = _require_at_least if convert is int else _require_real
     def parse(text: str):
-        value = convert(text)
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
         try:
             rule("value", value, *bounds)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
-    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
     return parse
 
 

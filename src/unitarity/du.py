@@ -59,8 +59,8 @@ public functions are batches of one: :func:`du` is the whole pipeline,
 :func:`du_bounds` stage 2 and :func:`du_optimize` the pipeline with stage 5
 for every channel (the reference the exact routes are tested against). The
 drivers of :mod:`unitarity.harness` feed the pipeline whole stacks: the
-bulk samplers a chunk at a time, the closed-form table and the witness one
-stack per Kraus-stack shape.
+bulk samplers a chunk at a time, the closed-form table one stack (zero
+padding is exact on its orthogonal operators), the witness one per shape.
 
 The package re-exports the function :func:`du`, which shadows this module,
 so ``import unitarity.du as m`` binds the function and ``m.STRAGGLER_RATIO

@@ -6,15 +6,17 @@ The drivers sample channels and aggregate results; every DU and bound comes
 from the one pipeline in :mod:`unitarity.du`, which every driver feeds a
 stack at a time through ``_du_stack``, never one ``du()`` call per channel.
 
-The closed-form table and the witness take given Kraus sets, as arrays.
-The table builds each standard family's sets over its whole grid with one
-call of the family builder that :func:`~unitarity.standard_channel` runs on
-a grid of one, and its closed forms with the array code of
-:func:`~unitarity.closed_form_du`; the witness stacks its trajectory's
-``.kraus`` arrays by shape. Only handed-in sets, the witness's, are checked
-for trace preservation, all first and in trajectory order; sets the library
-builds (the table's, the samplers') go straight to the DU core. Both run one
-stack per array shape (n_ops, dim, dim). Each channel is given no generator,
+The closed-form table and the witness take given Kraus sets, as arrays. The
+table builds each standard family's sets over its whole grid, padded to four
+operators with zeros, with one call of the family builder of
+:func:`~unitarity.standard_channel`, and its closed forms with the array
+code of :func:`~unitarity.closed_form_du`. It runs as one stack, exactly:
+its operators are orthogonal, so each Gram matrix is diagonal and a zero
+operator adds an exact 0 to every sum. The witness runs one stack per
+Kraus-array shape: padding a general set can move its DU by a few ulps. Only
+handed-in sets, the witness's, are checked for trace preservation, all first
+and in trajectory order; sets the library builds (the table's, the
+samplers') go straight to the DU core. Each channel is given no generator,
 as in ``du(ch)``, so the DU core builds ``np.random.default_rng(0)`` for a
 channel only when it ascends, and both run at ``du``'s default restarts, so
 each value and ``method`` label is ``du(ch)``'s bit for bit.
@@ -55,7 +57,7 @@ from .channels import (
     _check_trace_residuals,
     _closed_forms,
     _dilation_kraus_stack,
-    _standard_stacks,
+    _standard_kraus,
     _trace_residuals,
 )
 from .du import _ROUTES, DEFAULT_RESTARTS, _du_stack, _DuStack
@@ -103,34 +105,27 @@ def run_table1(grid: int = 51, restarts: int = DEFAULT_RESTARTS) -> Table1Report
 
     Each family's Kraus sets and closed forms are built over the whole grid
     at once, by the family builder that :func:`standard_channel` runs on a
-    grid of one and by the array code of :func:`closed_form_du`; the sets of
-    each Kraus count, from every family, then go straight to the DU core as
-    one stack: the builder's weights sum to 1, so no set is re-checked for
-    trace preservation. Every family is a qubit channel, which takes an
-    exact route and never ascends, so ``restarts`` changes no value or
-    method; it is still validated (an integer >= 0), and kept because
-    perfbench reads its default, du's, from the signature."""
+    grid of one and by the array code of :func:`closed_form_du`; every set,
+    zero-padded to four operators (exact, as the families' operators are
+    orthogonal), goes straight to the DU core in one stack: the builder's
+    weights sum to 1, so none is re-checked for trace preservation. Every
+    family is a qubit channel, which takes an exact route and never ascends,
+    so ``restarts`` changes no value or method; it is still validated (an
+    integer >= 0), and kept because perfbench reads its default, du's, from
+    the signature."""
     _require_at_least("grid", grid, 1)
     params = np.linspace(0.0, 1.0, grid)
-    pieces: dict[int, list] = {}  # Kraus count -> (row indices, stack) pairs
-    for f, family in enumerate(CHANNEL_FAMILIES):
-        for idx, kraus in _standard_stacks(family, params):
-            pieces.setdefault(kraus.shape[1], []).append((idx + f * grid, kraus))
-    values = np.empty(len(CHANNEL_FAMILIES) * grid)
-    routes = np.empty(len(values), dtype=int)
-    for parts in pieces.values():
-        idx, kraus = map(np.concatenate, zip(*parts))
-        s = _du_stack(kraus, [None] * len(idx), restarts)
-        values[idx], routes[idx] = s.du, s.route
+    kraus = np.concatenate([_standard_kraus(family, params) for family in CHANNEL_FAMILIES])
+    stack = _du_stack(kraus, [None] * len(kraus), restarts)
     refs = np.concatenate([_closed_forms(family, params) for family in CHANNEL_FAMILIES])
-    errors = np.abs(values - refs)
+    errors = np.abs(stack.du - refs)
     columns = (  # field order
         [family for family in CHANNEL_FAMILIES for _ in range(grid)],
         params.tolist() * len(CHANNEL_FAMILIES),
-        values.tolist(),
+        stack.du.tolist(),
         refs.tolist(),
         errors.tolist(),
-        [_ROUTES[route] for route in routes.tolist()],
+        [_ROUTES[route] for route in stack.route.tolist()],
     )
     return Table1Report(rows=tuple(map(Table1Row._make, zip(*columns))),
                         max_abs_error=float(errors.max()))

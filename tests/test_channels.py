@@ -35,7 +35,7 @@ from unitarity.channels import (
     STANDARD_KINDS,
     _canonical_stack,
     _dilation_kraus_stack,
-    _standard_stacks,
+    _standard_kraus,
     _trace_residuals,
     _unitary_multiples,
 )
@@ -558,20 +558,18 @@ class TestStandardChannels:
 
     @pytest.mark.parametrize("kind", STANDARD_KINDS)
     def test_family_builder_matches_each_point(self, kind):
-        # whole-grid stacks, grouped by which operators have a nonzero
-        # coefficient, hold each point's Kraus set bit for bit; at 5e-324
-        # p/4 rounds to 0, so depolarizing keeps only its identity term
+        # the whole-grid stack holds each point's Kraus set bit for bit, its
+        # zero-coefficient operators (and amplitude damping's unused slots)
+        # zero; at 5e-324 p/4 rounds to 0, so depolarizing keeps only its
+        # identity term
         params = np.concatenate([np.linspace(0.0, 1.0, 51), [5e-324, 1e-300, 1.0 - 2**-53]])
-        seen = []
-        for idx, kraus in _standard_stacks(kind, params):
-            assert kraus.dtype == np.complex128 and kraus.shape[2:] == (2, 2)
-            assert idx.tolist() == sorted(idx.tolist()) and len(idx) == len(kraus)
-            for i, ops in zip(idx.tolist(), kraus):
-                assert ops.tobytes() == reference_standard_kraus(kind, params[i]).tobytes()
-                ch = standard_channel(kind, float(params[i]))
-                assert ch.kraus.tobytes() == ops.tobytes()
-            seen += idx.tolist()
-        assert sorted(seen) == list(range(len(params)))
+        kraus = _standard_kraus(kind, params)
+        assert kraus.dtype == np.complex128 and kraus.shape == (len(params), 4, 2, 2)
+        for p, ops in zip(params.tolist(), kraus):
+            reference = reference_standard_kraus(kind, p)
+            nonzero = ops[ops.any(axis=(1, 2))]
+            assert nonzero.tobytes() == reference.tobytes()
+            assert standard_channel(kind, p).kraus.tobytes() == reference.tobytes()
         if kind == "depolarizing":
             assert standard_channel(kind, 5e-324).n_ops == 1
 
@@ -579,8 +577,18 @@ class TestStandardChannels:
     def test_family_builder_is_trace_preserving(self, kind):
         # run_table1 does not re-check the builder's sets: their weights sum to 1
         params = np.concatenate([np.linspace(0.0, 1.0, 1001), [5e-324, 0.5, 1.0 - 2**-53]])
-        for _, kraus in _standard_stacks(kind, params):
-            assert _trace_residuals(kraus).max() <= 1e-15
+        assert _trace_residuals(_standard_kraus(kind, params)).max() <= 1e-15
+
+    @pytest.mark.parametrize("kind", STANDARD_KINDS)
+    def test_family_builder_operators_are_orthogonal(self, kind):
+        # run_table1 runs the zero-padded stacks as one: that is exact only
+        # because each set's Gram matrix tr(E_j^dag E_k) is diagonal, so a
+        # family whose operators are not orthogonal must fail here
+        params = np.concatenate([np.linspace(0.0, 1.0, 1001), [5e-324, 1e-300, 0.5, 1.0 - 2**-53]])
+        kraus = _standard_kraus(kind, params)
+        gram = np.einsum("bjxy,bkxy->bjk", kraus.conj(), kraus)
+        off_diagonal = gram[:, ~np.eye(4, dtype=bool)]
+        assert not off_diagonal.any()
 
     def test_rejects_bad_param(self):
         with pytest.raises(ValueError):

@@ -407,6 +407,36 @@ class TestOneCopyOfEachRange:
         assert err[0].startswith("usage: unitarity")
         assert err[-1].endswith(f": error: argument {flag}: {raised.value}")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["tightness", "--samples", "x", "--seed", "1"], "argument --samples: invalid int value: 'x'"),
+        (["validate", "c.json", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+        (["distribution", "--samples", "1", "--seed", "1", "--env-dims", "2,x"],
+         "argument --env-dims: invalid int value: 'x'"),
+    ])
+    def test_non_number_names_the_type_and_the_entry(self, argv, message, capsys):
+        # an --env-dims entry is read as each integer flag is, so its message
+        # names the entry, not the whole list or a private parser
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f": error: {message}")
+
+    @pytest.mark.parametrize("command, flag, text, message", [
+        ("validate", "--tol", "-1e-3", "value must be a finite number > 0, got -0.001"),
+        ("witness", "--threshold", "-5e-324", "value must be a finite number >= 0, got -5e-324"),
+    ])
+    def test_negative_exponent_needs_the_equals_form(self, command, flag, text, message, capsys):
+        # argparse (3.12 and earlier) reads "-1e-3" after a space as an option,
+        # not a value; joined by "=" the value reaches the range rule
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "f.json", f"{flag}={text}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f": error: argument {flag}: {message}")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "f.json", flag, text])
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: " in capsys.readouterr().err
+
 
 class TestRemovedRestarts:
     @pytest.mark.parametrize("command", ["tightness", "distribution"])

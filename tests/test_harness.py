@@ -365,15 +365,29 @@ class TestTable1:
         # each family's Kraus sets come from one whole-grid builder call,
         # whatever the grid, never one call per point
         calls = []
-        build = harness._standard_stacks
+        build = harness._standard_kraus
 
         def counting(kind, params):
             calls.append((kind, len(params)))
             return build(kind, params)
 
-        monkeypatch.setattr(harness, "_standard_stacks", counting)
+        monkeypatch.setattr(harness, "_standard_kraus", counting)
         assert run_table1(grid=grid).rows == reference_table1_rows(grid)
         assert calls == [(family, grid) for family in CHANNEL_FAMILIES]
+
+    @pytest.mark.parametrize("grid", [1, 2, 51])
+    def test_one_du_pass_per_run(self, grid, monkeypatch):
+        # every family's zero-padded sets go through the DU core as one
+        # stack, whatever Kraus counts the grid's points have
+        calls = []
+
+        def counting(kraus, rngs, restarts):
+            calls.append(len(kraus))
+            return _du_stack(kraus, rngs, restarts)
+
+        monkeypatch.setattr(harness, "_du_stack", counting)
+        assert run_table1(grid=grid).rows == reference_table1_rows(grid)
+        assert calls == [len(CHANNEL_FAMILIES) * grid]
 
     @pytest.mark.parametrize("grid", [1, 51, 59])
     def test_closed_form_arrays_match_the_scalar(self, grid):
