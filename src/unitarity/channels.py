@@ -108,6 +108,7 @@ class ChiMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
+        _require_at_least("dim", self.dim, 1)
         m = as_matrix(self.mat)
         d2 = self.dim * self.dim
         if m.shape != (d2, d2):
@@ -162,6 +163,7 @@ class ValidationReport:
 
 def identity_channel(dim: int) -> KrausChannel:
     """The do-nothing channel {I}."""
+    _require_at_least("dim", dim, 1)
     return KrausChannel(dim, (np.eye(dim, dtype=np.complex128),))
 
 
@@ -173,10 +175,10 @@ def unitary_channel(u) -> KrausChannel:
 
 def convex_unitary_mixture(unitaries, probs) -> KrausChannel:
     """Channel sum_k p_k U_k rho U_k† as Kraus operators {sqrt(p_k) U_k}."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1 or len(unitaries) != probs.size:
+    if np.ndim(probs) != 1 or len(unitaries) != len(probs):
         raise ValueError("need one probability per unitary")
-    if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):
+    probs = np.array([_require_real("probs", p, 0.0, False) for p in probs])
+    if abs(probs.sum() - 1.0) > 1e-12:
         raise ValueError("probabilities must be nonnegative and sum to 1")
     ops = tuple(np.sqrt(p) * as_matrix(u) for p, u in zip(probs, unitaries))
     return KrausChannel(ops[0].shape[0], ops)

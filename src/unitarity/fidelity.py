@@ -76,11 +76,13 @@ def average_fidelity(ch: KrausChannel, u) -> float:
 
 def average_from_process(f_pro: float, dim: int) -> float:
     """Convert process fidelity to average fidelity."""
+    _require_at_least("dim", dim, 1)
     return (dim * f_pro + 1.0) / (dim + 1.0)
 
 
 def process_from_average(f_ave: float, dim: int) -> float:
     """Convert average fidelity to process fidelity."""
+    _require_at_least("dim", dim, 1)
     return (f_ave * (dim + 1.0) - 1.0) / dim
 
 

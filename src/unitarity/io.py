@@ -13,8 +13,11 @@ Complex numbers always serialize as two-element [re, im] arrays.
 
 Trajectory JSON is {"dim": n, "times": [...], "channels": [channel, ...]}
 with one channel object per time point, at strictly ascending times.
-Every number must be a JSON number within the float range ("dim" an
-integral one); a boolean or a numeric string is a FormatError.
+This module checks only JSON's structure: [re, im] pairs, lists, keys, an
+integral "dim" (2.0 is taken as 2) and each channel's dim against the
+declared one. Every value is held to the rule of the constructor it reaches
+(standard_channel, KrausChannel, Trajectory), whose ValueError, naming the
+value, becomes a FormatError; a boolean or a numeric string is no number.
 
 The Table 1 and tightness CSVs are a header line, then one row per record;
 the distribution CSV is a ``# mean=...`` summary line, a header line, then
@@ -26,13 +29,13 @@ columns, in order.
 from __future__ import annotations
 
 import json
-import sys
 from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from .channels import KrausChannel, Trajectory, standard_channel
+from .linalg import _is_real
 
 
 class FormatError(ValueError):
@@ -44,13 +47,6 @@ def matrix_to_obj(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat)]
 
 
-def _is_number(value) -> bool:
-    """Whether ``value`` is a JSON number a float holds: an int (not a bool) or a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, float) or abs(value) <= sys.float_info.max
-
-
 def matrix_from_obj(obj, what: str = "matrix") -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
@@ -58,7 +54,7 @@ def matrix_from_obj(obj, what: str = "matrix") -> np.ndarray:
         raise FormatError(f"{what}: expected nested [re, im] pairs: {exc}") from None
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise FormatError(f"{what}: expected shape (rows, cols, 2), got {arr.shape}")
-    if not all(_is_number(x) for row in obj for pair in row for x in pair):
+    if not all(_is_real(x) for row in obj for pair in row for x in pair):
         raise FormatError(f"{what}: every [re, im] entry must be a number")
     return arr[..., 0] + 1j * arr[..., 1]
 
@@ -70,35 +66,31 @@ def channel_to_obj(ch: KrausChannel) -> dict:
 def _dim_field(obj: dict, what: str) -> int:
     """The ``"dim"`` entry of ``obj``: an integral number (2.0 is taken as 2)."""
     dim = obj["dim"]
-    if not (_is_number(dim) and (isinstance(dim, int) or dim.is_integer())):
+    if not (_is_real(dim) and (isinstance(dim, int) or dim.is_integer())):
         raise FormatError(f"{what}: 'dim' must be an integer, got {dim!r}")
     return int(dim)
+
+
+def _construct(what: str, make, *args):
+    """``make(*args)``, a ValueError from it a FormatError prefixed ``what``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise FormatError(f"{what}: {exc}") from None
 
 
 def channel_from_obj(obj) -> KrausChannel:
     if not isinstance(obj, dict):
         raise FormatError(f"channel: expected a JSON object, got {type(obj).__name__}")
     if "standard" in obj:
-        param = obj.get("param")
-        if not _is_number(param):
-            raise FormatError(f"channel: standard form needs a numeric 'param', got {param!r}")
-        try:
-            return standard_channel(obj["standard"], float(param))
-        except ValueError as exc:
-            raise FormatError(f"channel: {exc}") from None
+        return _construct("channel", standard_channel, obj["standard"], obj.get("param"))
     if "dim" not in obj or "kraus" not in obj:
         raise FormatError("channel: expected keys 'dim' and 'kraus' (or 'standard')")
     dim = _dim_field(obj, "channel")
-    kraus_objs = obj["kraus"]
-    if not isinstance(kraus_objs, list) or not kraus_objs:
-        raise FormatError("channel: 'kraus' must be a nonempty list")
-    ops = tuple(
-        matrix_from_obj(op, what=f"kraus[{k}]") for k, op in enumerate(kraus_objs)
-    )
-    try:
-        return KrausChannel(dim, ops)
-    except ValueError as exc:
-        raise FormatError(f"channel: {exc}") from None
+    if not isinstance(obj["kraus"], list):
+        raise FormatError("channel: 'kraus' must be a list")
+    ops = [matrix_from_obj(op, what=f"kraus[{k}]") for k, op in enumerate(obj["kraus"])]
+    return _construct("channel", KrausChannel, dim, ops)
 
 
 def load_json(path: str):
@@ -135,19 +127,15 @@ def trajectory_from_obj(obj) -> Trajectory:
         if key not in obj:
             raise FormatError(f"trajectory: missing key {key!r}")
     dim = _dim_field(obj, "trajectory")
-    times = obj["times"]
-    if not (isinstance(times, list) and all(map(_is_number, times))):
-        raise FormatError("trajectory: 'times' must be an array of numbers")
+    if not isinstance(obj["times"], list):
+        raise FormatError("trajectory: 'times' must be an array")
     if not isinstance(obj["channels"], list):
         raise FormatError("trajectory: 'channels' must be a list")
     channels = [channel_from_obj(c) for c in obj["channels"]]
     for ch in channels:
         if ch.dim != dim:
             raise FormatError(f"trajectory: channel dim {ch.dim} != declared dim {dim}")
-    try:
-        return Trajectory(times=tuple(times), channels=tuple(channels))
-    except ValueError as exc:
-        raise FormatError(f"trajectory: {exc}") from None
+    return _construct("trajectory", Trajectory, tuple(obj["times"]), tuple(channels))
 
 
 def load_trajectory(path: str) -> Trajectory:

@@ -173,13 +173,31 @@ def test_readme_quickstart_runs():
 
 
 def test_format_layer_stands_on_the_channel_layer():
-    # io reads and writes channels and trajectories, and imports no driver:
+    # io reads and writes channels and trajectories, imports no driver, and
+    # from below the channels only linalg's number rule:
     # linalg <- channels <- {fidelity, du, io} <- harness <- cli
     tree = ast.parse(Path(unitarity.io.__file__).read_text(encoding="utf-8"))
     imported = {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level == 1}
-    assert imported == {"channels"}
+    assert imported == {"channels", "linalg"}
     assert not any(alias.name.startswith("unitarity") for node in ast.walk(tree)
                    if isinstance(node, ast.Import) for alias in node.names)
     assert not hasattr(unitarity.io, "_blocks")
     assert unitarity.Trajectory is unitarity.harness.Trajectory is unitarity.channels.Trajectory
+
+
+def test_only_linalg_tells_booleans_from_numbers():
+    # the number rule (linalg._is_real, _require_real, _require_at_least) is
+    # the only code that asks whether a value is a boolean
+    offenders = []
+    for path in sorted(Path(unitarity.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names_bools = "_BOOLS" in (getattr(node, "id", None), getattr(node, "name", None))
+            asks_bool = (isinstance(node, ast.Call) and len(node.args) == 2
+                         and getattr(node.func, "id", None) == "isinstance"
+                         and any(getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1])))
+            if names_bools or asks_bool:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -251,9 +251,21 @@ class TestRejectedInputs:
              "chi matrix is not Hermitian"),
             (lambda: chi_to_kraus(ChiMatrix(2, np.zeros((4, 4)))), ChannelValidationError,
              "chi matrix has no weight above the rank cutoff"),
+            (lambda: identity_channel(2.5), ValueError, "dim must be an integer, got 2.5"),
+            (lambda: identity_channel("3"), ValueError, "dim must be an integer, got '3'"),
+            (lambda: identity_channel(True), ValueError, "dim must be an integer, got True"),
+            (lambda: identity_channel(-1), ValueError, "dim must be >= 1, got -1"),
+            (lambda: ChiMatrix(2.0, np.eye(4)), ValueError, "dim must be an integer, got 2.0"),
+            (lambda: ChiMatrix(True, np.eye(1)), ValueError, "dim must be an integer, got True"),
+            (lambda: convex_unitary_mixture([np.eye(2), PAULI_X], ["0.5", "0.5"]), ValueError,
+             "probs must be a finite number >= 0, got '0.5'"),
+            (lambda: convex_unitary_mixture([np.eye(2), PAULI_X], [True, False]), ValueError,
+             "probs must be a finite number >= 0, got True"),
         ],
         ids=["chi-shape", "mixture-count", "state-hermitian", "state-trace", "chi-hermitian",
-             "chi-zero"],
+             "chi-zero", "identity-float-dim", "identity-string-dim", "identity-bool-dim",
+             "identity-negative-dim", "chi-float-dim", "chi-bool-dim", "mixture-string-prob",
+             "mixture-bool-prob"],
     )
     def test_message(self, call, kind, message):
         with pytest.raises(kind, match=f"^{re.escape(message)}$") as raised:
@@ -730,5 +742,5 @@ class TestConveniences:
     def test_convex_mixture_rejects_non_finite_probs(self, probs):
         # a non-finite probability fails the probability check, not the Kraus
         # operators' finiteness check that sqrt(p) U would reach
-        with pytest.raises(ValueError, match="probabilities must be nonnegative and sum to 1"):
+        with pytest.raises(ValueError, match="^probs must be a finite number >= 0, got "):
             convex_unitary_mixture([np.eye(2), PAULI_X], probs)

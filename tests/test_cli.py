@@ -523,11 +523,11 @@ class TestWitnessCommand:
             ([0.0, math.nan], [{"standard": "bit_flip", "param": 0.1}] * 2, "finite"),
             ("01", [{"standard": "bit_flip", "param": 0.1}] * 2, "'times' must be an array"),
             ([0.0, "1"], [{"standard": "bit_flip", "param": 0.1}] * 2,
-             "'times' must be an array of numbers"),
+             "times must be a finite number, got '1'"),
             ([False, True], [{"standard": "bit_flip", "param": 0.1}] * 2,
-             "'times' must be an array of numbers"),
+             "times must be a finite number, got False"),
             ([0, 10**400], [{"standard": "bit_flip", "param": 0.1}] * 2,
-             "'times' must be an array of numbers"),
+             f"times must be a finite number, got {10**400}"),
         ],
         ids=["descending-times", "no-time-points", "channels-not-a-list", "nan-time",
              "times-string", "string-time", "bool-times", "huge-int-time"],
@@ -547,12 +547,15 @@ class TestStrictNumbers:
     @pytest.mark.parametrize(
         "obj, message",
         [
-            ({"standard": "bit_flip", "param": True}, "channel: standard form needs a numeric"),
-            ({"standard": "bit_flip", "param": "0.5"}, "channel: standard form needs a numeric"),
+            ({"standard": "bit_flip", "param": True},
+             "channel: parameter must be a real number, got True"),
+            ({"standard": "bit_flip", "param": "0.5"},
+             "channel: parameter must be a real number, got '0.5'"),
             ({"dim": 2, "kraus": [[[["1", "0"], [0, 0]], ROWS[1]]]}, "kraus[0]: every [re, im]"),
             ({"dim": 2, "kraus": [[[[1, 0], [False, 0]], ROWS[1]]]}, "kraus[0]: every [re, im]"),
             ({"dim": 2, "kraus": [[[[True, 0], [0, 0]], ROWS[1]]]}, "kraus[0]: every [re, im]"),
-            ({"standard": "bit_flip", "param": 10**400}, "channel: standard form needs a numeric"),
+            ({"standard": "bit_flip", "param": 10**400},
+             f"channel: parameter must be in [0, 1], got {10**400}"),
             ({"dim": 2, "kraus": [[[[10**400, 0], [0, 0]], ROWS[1]]]}, "kraus[0]: expected"),
         ],
         ids=["bool-param", "string-param", "string-entry", "mixed-false-entry", "true-entry",
@@ -577,7 +580,7 @@ class TestFormatErrors:
              "matrix: expected shape (rows, cols, 2), got (2, 2)"),
             (lambda: channel_from_obj([1]), "channel: expected a JSON object, got list"),
             (lambda: channel_from_obj({"dim": 2, "kraus": []}),
-             "channel: 'kraus' must be a nonempty list"),
+             "channel: a channel needs at least one Kraus operator"),
             (lambda: trajectory_from_obj([]), "trajectory: expected a JSON object"),
             (lambda: trajectory_from_obj({"dim": 2, "times": [0]}),
              "trajectory: missing key 'channels'"),

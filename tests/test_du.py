@@ -433,6 +433,17 @@ class TestOptimizer:
             res = du_optimize(ch, restarts=4, rng=rng)
             assert abs(process_fidelity(ch, res.witness) - res.value) <= 1e-9
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_witness_reproduces_value_beyond_qubits(self, n):
+        # fidelity.py shares no code with du.py, so the ascent's witness is
+        # checked by an independent formula, at every environment size
+        for env in sorted({2, 3, n, 2 * n, n * n // 2}):
+            for i in range(3):
+                ch = random_channel(n, env, np.random.default_rng([18, n, env, i]))
+                res, _ = du(ch)
+                assert res.method == "numerical_optimizer"
+                assert abs(process_fidelity(ch, res.witness) - res.value) <= 1e-12
+
     def test_deterministic_default_rng(self):
         ch = standard_channel("amplitude_damping", 0.5)
         a = du_optimize(ch)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,20 @@ class TestAverageFidelity:
             f_ave = average_fidelity(ch, u)
             assert abs(f_ave - average_from_process(f_pro, n)) <= 1e-12
             assert abs(process_from_average(f_ave, n) - f_pro) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "convert, dim, message",
+        [
+            (average_from_process, 2.0, "dim must be an integer, got 2.0"),
+            (average_from_process, True, "dim must be an integer, got True"),
+            (process_from_average, 0, "dim must be >= 1, got 0"),
+            (process_from_average, "2", "dim must be an integer, got '2'"),
+        ],
+        ids=["float-dim", "bool-dim", "zero-dim", "string-dim"],
+    )
+    def test_conversions_reject_a_non_dimension(self, convert, dim, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            convert(0.5, dim)
 
 
 class TestFidelityPair:
